@@ -8,107 +8,12 @@ discretized propagator chain or by reducing its quadratic action to a
 determinant (`path_integral`).
 """
 
-from .grassmann import (
-    DROP_TOLERANCE,
-    GAUSSIAN_CAP,
-    GeneratorRegistry,
-    GrassmannElement,
-    add,
-    berezin_integrate,
-    coefficient,
-    determinant,
-    exp_nilpotent,
-    gaussian_integral_expand,
-    integrate_pair,
-    left_derivative,
-    max_coefficient_difference,
-    monomial,
-    mul,
-    one,
-    register_generators,
-    scale,
-    substitute,
-    trace_functional,
-)
-from .oscillator import (
-    ThermalPoint,
-    density_matrix,
-    exact_kernel_coefficient,
-    hamiltonian,
-    ladder_matrices,
-    number_operator,
-    parity_operator,
-    partition_trace,
-    supertrace,
-    thermal_observables,
-)
-from .path_integral import (
-    SYMBOLIC_CHAIN_CAP,
-    BoundaryCondition,
-    DiscretizedChain,
-    PropagatorKernel,
-    SliceScheme,
-    SweepPoint,
-    action_matrix,
-    close_boundary,
-    closed_form_partition,
-    contract_chain,
-    convergence_sweep,
-    kernel_paper_form,
-    paper_normalized,
-    partition_via_determinant,
-    step_kernel,
-)
-from .selftest import CheckResult, run_selftest
+from . import grassmann, oscillator, path_integral, selftest
+from .grassmann import *  # noqa: F401,F403
+from .oscillator import *  # noqa: F401,F403
+from .path_integral import *  # noqa: F401,F403
+from .selftest import *  # noqa: F401,F403
 
-__all__ = [
-    "DROP_TOLERANCE",
-    "GAUSSIAN_CAP",
-    "SYMBOLIC_CHAIN_CAP",
-    "GeneratorRegistry",
-    "GrassmannElement",
-    "add",
-    "berezin_integrate",
-    "coefficient",
-    "determinant",
-    "exp_nilpotent",
-    "gaussian_integral_expand",
-    "integrate_pair",
-    "left_derivative",
-    "max_coefficient_difference",
-    "monomial",
-    "mul",
-    "one",
-    "register_generators",
-    "scale",
-    "substitute",
-    "trace_functional",
-    "ThermalPoint",
-    "density_matrix",
-    "exact_kernel_coefficient",
-    "hamiltonian",
-    "ladder_matrices",
-    "number_operator",
-    "parity_operator",
-    "partition_trace",
-    "supertrace",
-    "thermal_observables",
-    "BoundaryCondition",
-    "DiscretizedChain",
-    "PropagatorKernel",
-    "SliceScheme",
-    "SweepPoint",
-    "action_matrix",
-    "close_boundary",
-    "closed_form_partition",
-    "contract_chain",
-    "convergence_sweep",
-    "kernel_paper_form",
-    "paper_normalized",
-    "partition_via_determinant",
-    "step_kernel",
-    "CheckResult",
-    "run_selftest",
-]
+__all__ = grassmann.__all__ + oscillator.__all__ + path_integral.__all__ + selftest.__all__
 
 __version__ = "0.1.0"

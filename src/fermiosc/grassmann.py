@@ -12,6 +12,7 @@ function; elements may be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -175,7 +176,13 @@ class GrassmannElement:
 
 
 def _build(registry: GeneratorRegistry, terms: dict[int, float]) -> GrassmannElement:
-    pruned = {m: c for m, c in terms.items() if abs(c) >= DROP_TOLERANCE}
+    pruned = {}
+    for mask, coeff in terms.items():
+        size = abs(coeff)
+        if DROP_TOLERANCE <= size < math.inf:
+            pruned[mask] = coeff
+        elif not size < DROP_TOLERANCE:  # inf or NaN
+            raise ValueError(f"non-finite coefficient {coeff!r}")
     return GrassmannElement(registry, pruned)
 
 
@@ -250,27 +257,32 @@ def scale(a: GrassmannElement, s: float) -> GrassmannElement:
     return _build(a.registry, {m: c * s for m, c in a.terms.items()})
 
 
-def _merge_sign(mask_a: int, mask_b: int) -> int:
-    """Sign of sorting the concatenation of two disjoint sorted monomials."""
-    swaps = 0
-    rest = mask_b
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        swaps += (mask_a >> low.bit_length()).bit_count()
-    return -1 if swaps & 1 else 1
+def _crossings(mask: int) -> int:
+    """Bitmask of the positions with an odd number of ``mask`` bits below them.
+
+    Moving monomial b past monomial a crosses one pair per (i in a, j in b,
+    i > j), so the merge sign is the parity of ``a & _crossings(b)``.
+    """
+    odd = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        odd ^= -(low << 1)  # every position above this bit
+    return odd
 
 
 def mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     """Distributive product; overlapping monomials vanish by nilpotency."""
     _same_registry(a, b)
+    right = [(mb, cb, _crossings(mb)) for mb, cb in b.terms.items()]
     out: dict[int, float] = {}
     for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
+        for mb, cb, odd in right:
             if ma & mb:
                 continue
             merged = ma | mb
-            out[merged] = out.get(merged, 0.0) + ca * cb * _merge_sign(ma, mb)
+            sign = -1 if (ma & odd).bit_count() & 1 else 1
+            out[merged] = out.get(merged, 0.0) + ca * cb * sign
     return _build(a.registry, out)
 
 

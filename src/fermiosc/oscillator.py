@@ -23,7 +23,22 @@ __all__ = [
     "supertrace",
     "exact_kernel_coefficient",
     "thermal_observables",
+    "validate_point",
 ]
+
+
+def validate_point(beta: float, omega: float, n_steps: int | None = None) -> None:
+    """Refuse a (beta, omega, N) point outside the physical domain.
+
+    beta must be finite and nonnegative, omega finite and positive, and
+    n_steps, when given, at least 1; anything else raises ValueError.
+    """
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be finite and positive, got {omega!r}")
+    if n_steps is not None and n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -68,17 +83,13 @@ def parity_operator() -> np.ndarray:
 
 def hamiltonian(omega: float) -> np.ndarray:
     """omega * c_dagger c, with eigenvalues {0, omega}."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    validate_point(0.0, omega)
     return omega * number_operator()
 
 
 def density_matrix(beta: float, omega: float) -> np.ndarray:
     """Unnormalized thermal operator exp(-beta H): diag(e^{-beta*omega}, 1)."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    validate_point(beta, omega)
     return np.diag([math.exp(-beta * omega), 1.0])
 
 
@@ -94,10 +105,7 @@ def supertrace(rho: np.ndarray) -> float:
 
 def exact_kernel_coefficient(beta: float, omega: float) -> float:
     """Magnitude of the propagating term of the boundary kernel: e^{-beta*omega}."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    validate_point(beta, omega)
     return math.exp(-beta * omega)
 
 
@@ -107,10 +115,9 @@ def thermal_observables(beta: float, omega: float) -> ThermalPoint:
     F = -ln(Z-)/beta, <E> = omega e^{-beta*omega}/(1 + e^{-beta*omega}),
     S = beta(<E> - F).
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    validate_point(beta, omega)
+    if beta == 0:
+        raise ValueError("observables need beta > 0")
     boltzmann = math.exp(-beta * omega)
     z_minus = 1.0 + boltzmann
     z_plus = 1.0 - boltzmann

@@ -35,6 +35,7 @@ from .grassmann import (
     register_generators,
     substitute,
 )
+from .oscillator import validate_point
 
 __all__ = [
     "SYMBOLIC_CHAIN_CAP",
@@ -91,12 +92,7 @@ class DiscretizedChain:
     registry: GeneratorRegistry = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
-        if self.omega < 0:
-            raise ValueError("omega must be nonnegative")
+        validate_point(self.beta, self.omega, self.n_steps)
         object.__setattr__(self, "epsilon", self.beta / self.n_steps)
         labels: list[str] = []
         pairs: list[tuple[str, str]] = []
@@ -226,10 +222,7 @@ def kernel_paper_form(beta: float, omega: float) -> PropagatorKernel:
     every cross and square term vanishes and the expansion stops at first
     order.
     """
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    validate_point(beta, omega)
     registry, g_c0, g_cb, g_cb_star = _boundary_registry()
     element = add(
         add(one(registry), monomial(registry, [g_cb_star, g_cb], 1.0)),
@@ -301,16 +294,22 @@ def action_matrix(chain: DiscretizedChain, bc: BoundaryCondition) -> np.ndarray:
 def partition_via_determinant(chain: DiscretizedChain, bc: BoundaryCondition) -> float:
     """Partition value as the determinant of the action matrix.
 
-    For chains small enough to expand symbolically, the Gaussian-integral
-    expansion of the same matrix is computed as well and must agree to
-    1e-10; a mismatch means the algebra engine and the numeric route have
-    diverged and is raised as an error.
+    A determinant that overflows is raised as ArithmeticError.  For chains
+    small enough to expand symbolically, the Gaussian-integral expansion
+    of the same matrix is computed as well and must agree to 1e-10
+    relative (absolute below magnitude 1); a mismatch means the algebra
+    engine and the numeric route have diverged and is raised as an error.
     """
     m = action_matrix(chain, bc)
-    det = determinant(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = determinant(m)
+    if not math.isfinite(det):
+        raise ArithmeticError(
+            f"determinant of the N={chain.n_steps} action matrix is not finite: {det!r}"
+        )
     if chain.n_steps <= GAUSSIAN_CAP:
         symbolic = gaussian_integral_expand(m)
-        if abs(symbolic - det) > 1e-10:
+        if abs(symbolic - det) > 1e-10 * max(1.0, abs(det)):
             raise ArithmeticError(
                 f"Gaussian expansion {symbolic!r} disagrees with determinant {det!r}"
             )

@@ -1,22 +1,23 @@
-"""Internal consistency checks runnable without the test suite.
+"""One catalogue of named invariants, shared by ``fermiosc selftest`` and pytest.
 
-Each check exercises one invariant of the algebra engine, the two-level
-oracle, or the discretized evaluator, and reports a pass/fail flag plus a
-short diagnostic.  Randomized checks draw from a seeded generator so the
-outcome is reproducible run to run.
+Each entry has a grid of points, a tolerance and a function that returns
+the defect at one point; it passes when the worst defect over its grid is
+within the tolerance.  Randomized entries seed one generator per draw from
+the entry name and the draw index, so every entry gives the same result
+alone or in any order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Any, Callable, List, Sequence
 
 import numpy as np
 
 from .grassmann import (
-    GeneratorRegistry,
     GrassmannElement,
     add,
     berezin_integrate,
@@ -50,352 +51,266 @@ from .path_integral import (
     kernel_paper_form,
     paper_normalized,
     partition_via_determinant,
+    step_kernel,
 )
+
+__all__ = ["CheckResult", "Invariant", "INVARIANTS", "run_selftest"]
 
 _BETAS = (0.1, 0.5, 1.0, 2.0)
 _OMEGAS = (0.5, 1.0, 2.0)
+_GRID = tuple(itertools.product(_BETAS + (5.0,), _OMEGAS))
+_ONCE = (None,)
+_REG6 = register_generators(["g%d" % k for k in range(6)])
+_GENERATORS = tuple(monomial(_REG6, [i]) for i in range(_REG6.size))
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of a single named invariant check."""
+    """Outcome of one catalogue entry."""
 
     name: str
     passed: bool
     detail: str
+    defect: float
+
+    def verdict(self) -> str:
+        """``PASS <name>: <detail>`` or ``FAIL <name>: <detail>``."""
+        return "%s %s: %s" % ("PASS" if self.passed else "FAIL", self.name, self.detail)
 
 
-def _random_element(
-    registry: GeneratorRegistry,
-    rng: random.Random,
-    max_terms: int = 6,
-    allow_constant: bool = True,
-) -> GrassmannElement:
-    n = registry.size
-    lowest = 0 if allow_constant else 1
-    out = GrassmannElement(registry, {})
-    for _ in range(rng.randint(1, max_terms)):
-        mask = rng.randint(lowest, (1 << n) - 1)
-        indices = [i for i in range(n) if mask >> i & 1]
-        out = add(out, monomial(registry, indices, rng.uniform(-1.0, 1.0)))
+@dataclass(frozen=True)
+class Invariant:
+    """A named invariant: the worst ``defect(point)`` over ``grid`` is at most ``tolerance``."""
+
+    name: str
+    quantity: str
+    grid: Sequence[Any]
+    tolerance: float
+    defect: Callable[[Any], float]
+
+    def check(self) -> CheckResult:
+        # np.max, unlike max, lets a NaN defect through to fail the entry
+        worst = float(np.max([self.defect(point) for point in self.grid]))
+        detail = "defect %.3e tol %.0e (max %s over %d points)" % (
+            worst, self.tolerance, self.quantity, len(self.grid)
+        )
+        return CheckResult(self.name, worst <= self.tolerance, detail, worst)
+
+
+def _size(a: GrassmannElement) -> float:
+    return max((abs(c) for c in a.terms.values()), default=0.0)
+
+
+def _rel(got: float, ref: float) -> float:
+    return abs(got - ref) / abs(ref)
+
+
+def _random_elements(
+    name: str, draw: int, count: int = 1, lowest: int = 0
+) -> List[GrassmannElement]:
+    """``count`` random elements on six generators; ``lowest=1`` omits the constant."""
+    rng = random.Random("%s:%d" % (name, draw))
+    out = []
+    for _ in range(count):
+        element = GrassmannElement(_REG6, {})
+        for _ in range(rng.randint(1, 6)):
+            mask = rng.randint(lowest, 63)
+            indices = [i for i in range(6) if mask >> i & 1]
+            element = add(element, monomial(_REG6, indices, rng.uniform(-1.0, 1.0)))
+        out.append(element)
     return out
 
 
-def _check_anticommutation() -> Tuple[bool, str]:
-    registry = register_generators(["a", "b", "c", "d"])
-    worst = 0.0
-    for i in range(registry.size):
-        for j in range(registry.size):
-            gi = monomial(registry, [i])
-            gj = monomial(registry, [j])
-            s = add(mul(gi, gj), mul(gj, gi))
-            for coeff in s.terms.values():
-                worst = max(worst, abs(coeff))
-    return worst == 0.0, "max |g_i g_j + g_j g_i| coefficient = %.3g" % worst
+def _anticommutator(ij) -> float:
+    gi, gj = _GENERATORS[ij[0]], _GENERATORS[ij[1]]
+    return _size(add(mul(gi, gj), mul(gj, gi)))
 
 
-def _check_nilpotency(rng: random.Random) -> Tuple[bool, str]:
-    registry = register_generators(["g%d" % k for k in range(5)])
-    for i in range(registry.size):
-        g = monomial(registry, [i])
-        if not mul(g, g).is_zero:
-            return False, "generator %d squared is nonzero" % i
-    for _ in range(50):
-        a = _random_element(registry, rng, allow_constant=False)
-        power = a
-        for _ in range(registry.size):
-            power = mul(power, a)
-        if not power.is_zero:
-            return False, "constant-free element to power %d survived" % (
-                registry.size + 1
-            )
-    return True, "generator squares and high powers all vanish exactly"
+def _power_of_constant_free(draw: int) -> float:
+    (a,) = _random_elements("constant-free-power-vanishes", draw, lowest=1)
+    power = a
+    for _ in range(_REG6.size):
+        power = mul(power, a)
+    return _size(power)
 
 
-def _check_associativity(rng: random.Random) -> Tuple[bool, str]:
-    registry = register_generators(["g%d" % k for k in range(6)])
-    worst = 0.0
-    for _ in range(200):
-        a = _random_element(registry, rng)
-        b = _random_element(registry, rng)
-        c = _random_element(registry, rng)
-        left = mul(mul(a, b), c)
-        right = mul(a, mul(b, c))
-        worst = max(worst, max_coefficient_difference(left, right))
-    return worst <= 1e-12, "max |(ab)c - a(bc)| coefficient = %.3g" % worst
+def _associativity(draw: int) -> float:
+    a, b, c = _random_elements("product-associativity", draw, 3)
+    return max_coefficient_difference(mul(mul(a, b), c), mul(a, mul(b, c)))
 
 
-def _check_derivative_squared(rng: random.Random) -> Tuple[bool, str]:
-    registry = register_generators(["g%d" % k for k in range(5)])
-    for _ in range(100):
-        a = _random_element(registry, rng)
-        for g in range(registry.size):
-            twice = left_derivative(left_derivative(a, g), g)
-            if not twice.is_zero:
-                return False, "second derivative in generator %d nonzero" % g
-    return True, "d/dg applied twice annihilates 100 random elements"
+def _derivative_squared(draw: int) -> float:
+    (a,) = _random_elements("derivative-squares-to-zero", draw)
+    return max(_size(left_derivative(left_derivative(a, g), g)) for g in range(6))
 
 
-def _check_integration_is_differentiation(rng: random.Random) -> Tuple[bool, str]:
-    registry = register_generators(["g%d" % k for k in range(5)])
-    for _ in range(100):
-        a = _random_element(registry, rng)
-        for g in range(registry.size):
-            if berezin_integrate(a, g).terms != left_derivative(a, g).terms:
-                return False, "integral and derivative disagree on generator %d" % g
-    return True, "single-variable integral matches left derivative exactly"
+def _integration_vs_derivative(draw: int) -> float:
+    (a,) = _random_elements("integration-is-differentiation", draw)
+    return max(
+        max_coefficient_difference(berezin_integrate(a, g), left_derivative(a, g))
+        for g in range(6)
+    )
 
 
-def _check_gaussian_identity(rng: random.Random) -> Tuple[bool, str]:
-    worst = 0.0
-    np_rng = np.random.default_rng(rng.getrandbits(32))
-    for n in range(1, 5):
-        for _ in range(25):
-            m = np_rng.uniform(-2.0, 2.0, size=(n, n))
-            ref = determinant(m)
-            got = gaussian_integral_expand(m)
-            worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
-    return worst <= 1e-10, "max relative |integral - det| = %.3g" % worst
+def _integral_vs_det(m) -> float:
+    return abs(gaussian_integral_expand(m) - determinant(m))
 
 
-def _check_trace_normalization() -> Tuple[bool, str]:
+def _random_matrix(draw: int) -> List[List[float]]:
+    rng = random.Random("gaussian-determinant-identity:%d" % draw)
+    n = draw % 4 + 1
+    return [[rng.uniform(-2.0, 2.0) for _ in range(n)] for _ in range(n)]
+
+
+def _trace_normalization(_) -> float:
     registry = register_generators(["c", "c*", "c'"], pairs=[("c", "c*")])
     kernel = add(one(registry), monomial(registry, [1, 2], 1.0))
-    value = trace_functional(kernel, (1, 0), prime=2)
-    return abs(value - 2.0) <= 1e-14, "trace of the zero-beta kernel = %.17g" % value
+    return abs(trace_functional(kernel, (1, 0), prime=2) - 2.0)
 
 
-def _check_canonical_anticommutation() -> Tuple[bool, str]:
+def _canonical_anticommutation(_) -> float:
     c_dag, c = ladder_matrices()
-    car = c @ c_dag + c_dag @ c
-    if not np.array_equal(car, np.eye(2)):
-        return False, "c c† + c† c deviates from the identity"
-    if np.any(c @ c != 0.0) or np.any(c_dag @ c_dag != 0.0):
-        return False, "a ladder operator fails to square to zero"
-    return True, "ladder matrices satisfy the anticommutation relations exactly"
+    return float(max(np.max(np.abs(m)) for m in (c @ c_dag + c_dag @ c - np.eye(2),
+                                                 c @ c, c_dag @ c_dag)))
 
 
-def _check_density_spectrum() -> Tuple[bool, str]:
-    worst = 0.0
-    for beta in _BETAS:
-        for omega in _OMEGAS:
-            rho = density_matrix(beta, omega)
-            h = hamiltonian(omega)
-            if not np.array_equal(rho @ h, h @ rho):
-                return False, "density matrix does not commute with H"
-            eigs = np.sort(np.linalg.eigvalsh(rho))
-            expect = np.sort([math.exp(-beta * omega), 1.0])
-            worst = max(worst, float(np.max(np.abs(eigs - expect))))
-    return worst <= 1e-12, "max eigenvalue deviation = %.3g" % worst
+def _density_spectrum(point) -> float:
+    rho, h = density_matrix(*point), hamiltonian(point[1])
+    if not np.array_equal(rho @ h, h @ rho):
+        return math.inf
+    eigs = np.sort(np.linalg.eigvalsh(rho))
+    return float(np.max(np.abs(eigs - np.sort([math.exp(-point[0] * point[1]), 1.0]))))
 
 
-def _check_partition_closed_form() -> Tuple[bool, str]:
-    worst = 0.0
-    for beta in _BETAS:
-        for omega in _OMEGAS:
-            ref = 1.0 + math.exp(-beta * omega)
-            got = partition_trace(density_matrix(beta, omega))
-            worst = max(worst, abs(got - ref) / ref)
-    return worst <= 1e-15, "max relative deviation from 1 + e^(-bw) = %.3g" % worst
+def _density_semigroup(point) -> float:
+    beta_1, beta_2, omega = point
+    combined = density_matrix(beta_1 + beta_2, omega)
+    product = density_matrix(beta_1, omega) @ density_matrix(beta_2, omega)
+    return float(np.max(np.abs(combined - product)))
 
 
-def _check_trace_supertrace_sum() -> Tuple[bool, str]:
-    worst = 0.0
-    for beta in _BETAS:
-        for omega in _OMEGAS:
-            rho = density_matrix(beta, omega)
-            total = partition_trace(rho) + supertrace(rho)
-            worst = max(worst, abs(total - 2.0))
-    return worst <= 1e-14, "max |trace + supertrace - 2| = %.3g" % worst
+def _mean_energy_derivative(point, step: float = 1e-5) -> float:
+    beta, omega = point
+    up = math.log(partition_trace(density_matrix(beta + step, omega)))
+    down = math.log(partition_trace(density_matrix(beta - step, omega)))
+    return abs(thermal_observables(beta, omega).mean_energy + (up - down) / (2.0 * step))
 
 
-def _check_density_semigroup() -> Tuple[bool, str]:
-    worst = 0.0
-    for beta_1 in _BETAS:
-        for beta_2 in _BETAS:
-            for omega in _OMEGAS:
-                combined = density_matrix(beta_1 + beta_2, omega)
-                product = density_matrix(beta_1, omega) @ density_matrix(
-                    beta_2, omega
-                )
-                worst = max(worst, float(np.max(np.abs(combined - product))))
-    return worst <= 1e-14, "max entrywise semigroup defect = %.3g" % worst
-
-
-def _check_mean_energy_derivative() -> Tuple[bool, str]:
-    worst = 0.0
-    step = 1e-5
-    for beta in _BETAS:
-        for omega in _OMEGAS:
-            point = thermal_observables(beta, omega)
-            up = math.log(partition_trace(density_matrix(beta + step, omega)))
-            down = math.log(partition_trace(density_matrix(beta - step, omega)))
-            numeric = -(up - down) / (2.0 * step)
-            worst = max(worst, abs(point.mean_energy - numeric))
-    return worst <= 1e-8, "max |<E> + dlnZ/dbeta| = %.3g" % worst
-
-
-def _check_route_equivalence(tolerance: float) -> Tuple[bool, str]:
-    worst = 0.0
-    for scheme in SliceScheme:
-        for beta in _BETAS:
-            for omega in _OMEGAS:
-                for n_steps in (1, 2, 4, 8):
-                    chain = DiscretizedChain(n_steps, beta, omega, scheme)
-                    kernel = paper_normalized(contract_chain(chain))
-                    for bc in BoundaryCondition:
-                        symbolic = close_boundary(kernel, bc)
-                        direct = partition_via_determinant(chain, bc)
-                        worst = max(worst, abs(symbolic - direct))
-    return worst <= tolerance, "max |chain route - determinant route| = %.3g" % worst
-
-
-def _check_antiperiodic_oracle() -> Tuple[bool, str]:
-    worst = 0.0
-    for beta in _BETAS + (5.0,):
-        for omega in _OMEGAS:
-            ref = partition_trace(density_matrix(beta, omega))
-            got = close_boundary(
-                kernel_paper_form(beta, omega), BoundaryCondition.ANTIPERIODIC
-            )
-            worst = max(worst, abs(got - ref) / abs(ref))
-    return worst <= 1e-12, "max relative closure/trace mismatch = %.3g" % worst
-
-
-def _check_periodic_oracle() -> Tuple[bool, str]:
-    worst = 0.0
-    for beta in _BETAS + (5.0,):
-        for omega in _OMEGAS:
-            ref = supertrace(density_matrix(beta, omega))
-            got = close_boundary(
-                kernel_paper_form(beta, omega), BoundaryCondition.PERIODIC
-            )
-            worst = max(worst, abs(got - ref) / abs(ref))
-    return worst <= 1e-12, "max relative closure/supertrace mismatch = %.3g" % worst
-
-
-def _check_graded_duality() -> Tuple[bool, str]:
-    worst = 0.0
-    for beta in _BETAS:
-        for omega in _OMEGAS:
-            z_plus = supertrace(density_matrix(beta, omega))
-            cutoff = int(math.ceil(40.0 / (beta * omega)))
-            bosonic = math.fsum(
-                math.exp(-beta * omega * n) for n in range(cutoff + 1)
-            )
-            worst = max(worst, abs(z_plus * bosonic - 1.0))
-    return worst <= 1e-12, "max |Z+ * sum_n e^(-bwn) - 1| = %.3g" % worst
-
-
-def _check_chain_coefficient() -> Tuple[bool, str]:
-    beta, omega = 1.0, 1.0
-    worst = 0.0
-    diag_signs = set()
-    prop_signs = set()
-    for n_steps in range(1, 65):
-        exact = contract_chain(DiscretizedChain(n_steps, beta, omega))
-        worst = max(worst, abs(abs(exact.coeff_prop) - math.exp(-beta * omega)))
-        first = contract_chain(
-            DiscretizedChain(n_steps, beta, omega, SliceScheme.FIRST_ORDER)
-        )
-        expect = 1.0
-        for _ in range(n_steps):
-            expect *= 1.0 - beta * omega / n_steps
-        worst = max(worst, abs(abs(first.coeff_prop) - abs(expect)))
-        for kernel in (exact, first):
-            diag_signs.add(math.copysign(1.0, kernel.coeff_diag))
-            if kernel.coeff_prop != 0.0:
-                prop_signs.add(math.copysign(1.0, kernel.coeff_prop))
-    if len(diag_signs) != 1 or len(prop_signs) != 1:
-        return False, "extracted coefficient signs drift with step count"
-    return worst <= 1e-13, "max coefficient defect over N = 1..64 is %.3g" % worst
-
-
-def _check_contraction_idempotence() -> Tuple[bool, str]:
-    lam = 0.75
-    # beta = n_steps makes eps = 1, so the first-order coefficient is exact
-    chain = DiscretizedChain(2, 2.0, 1.0 - lam, SliceScheme.FIRST_ORDER)
-    registry = chain.registry
-    piece = one(registry)
-    for k in (1, 2):
-        step = add(
-            one(registry),
-            monomial(
-                registry,
-                [chain.cstar_index(k), chain.c_index(k - 1)],
-                chain.step_coefficient,
-            ),
-        )
-        piece = mul(piece, step)
-    weight = add(
-        one(registry),
-        monomial(registry, [chain.cstar_index(1), chain.c_index(1)], -1.0),
+def _route_equivalence(point) -> float:
+    chain = DiscretizedChain(*point)
+    kernel = paper_normalized(contract_chain(chain))
+    return max(
+        abs(close_boundary(kernel, bc) - partition_via_determinant(chain, bc))
+        for bc in BoundaryCondition
     )
-    reduced = integrate_pair(
-        mul(piece, weight), chain.cstar_index(1), chain.c_index(1)
+
+
+def _graded_duality(point) -> float:
+    beta, omega = point
+    z_plus = supertrace(density_matrix(beta, omega))
+    cutoff = int(math.ceil(40.0 / (beta * omega)))
+    bosonic = math.fsum(math.exp(-beta * omega * n) for n in range(cutoff + 1))
+    return abs(z_plus * bosonic - 1.0)
+
+
+def _signs(kernel) -> tuple:
+    prop = math.copysign(1.0, kernel.coeff_prop) if kernel.coeff_prop else None
+    return math.copysign(1.0, kernel.coeff_diag), prop
+
+
+def _chain_coefficient(n_steps: int) -> float:
+    """|coeff_prop| is e^-bw (exact) or |lambda^N| (first order); signs never drift with N."""
+    anchor = _signs(contract_chain(DiscretizedChain(1, 1.0, 1.0)))
+    exact = contract_chain(DiscretizedChain(n_steps, 1.0, 1.0))
+    first = contract_chain(DiscretizedChain(n_steps, 1.0, 1.0, SliceScheme.FIRST_ORDER))
+    for kernel in (exact, first):
+        diag, prop = _signs(kernel)
+        if diag != anchor[0] or prop not in (None, anchor[1]):
+            return math.inf
+    return max(
+        abs(abs(exact.coeff_prop) - math.exp(-1.0)),
+        abs(abs(first.coeff_prop) - abs((1.0 - 1.0 / n_steps) ** n_steps)),
     )
-    expect_mask = (1 << chain.cstar_index(2)) | (1 << chain.c_index(0))
-    extra = {
-        mask: coeff
-        for mask, coeff in reduced.terms.items()
-        if mask not in (0, expect_mask)
-    }
-    if extra:
-        return False, "pair integration left %d stray monomials" % len(extra)
-    # signed coefficient of the written-order monomial c2* c0
-    prop = coefficient(reduced, [chain.cstar_index(2), chain.c_index(0)])
-    const = reduced.terms.get(0, 0.0)
-    ok = const == 1.0 and prop == lam * lam
-    return ok, "reduced kernel = %.17g + %.17g * (c2* c0)" % (const, prop)
 
 
-def _check_action_matrix_routes() -> Tuple[bool, str]:
-    worst = 0.0
-    cases = [(1.0, 1.0, SliceScheme.EXACT), (0.5, 2.0, SliceScheme.EXACT),
-             (2.0, 2.0, SliceScheme.FIRST_ORDER), (1e-9, 1.0, SliceScheme.EXACT)]
-    for beta, omega, scheme in cases:
-        for n_steps in range(1, 5):
-            chain = DiscretizedChain(n_steps, beta, omega, scheme)
-            for bc in BoundaryCondition:
-                m = action_matrix(chain, bc)
-                ref = determinant(m)
-                got = gaussian_integral_expand(m)
-                worst = max(worst, abs(got - ref))
-    return worst <= 1e-10, "max |integral - det| over action matrices = %.3g" % worst
+def _interior_contraction(point) -> float:
+    """Integrating out the interior pairs leaves exactly 1 + lambda^N c_N* c_0."""
+    chain = DiscretizedChain(*point)
+    registry, last = chain.registry, chain.n_steps
+    element = one(registry)
+    for k in range(1, last + 1):
+        element = mul(element, step_kernel(chain, k))
+    for k in range(1, last):
+        star, plain = chain.cstar_index(k), chain.c_index(k)
+        weight = add(one(registry), monomial(registry, [star, plain], -1.0))
+        element = integrate_pair(mul(element, weight), star, plain)
+    prop_mask = (1 << chain.cstar_index(last)) | (1 << chain.c_index(0))
+    stray = max((abs(c) for m, c in element.terms.items() if m not in (0, prop_mask)), default=0.0)
+    prop = coefficient(element, [chain.cstar_index(last), chain.c_index(0)])
+    return max(stray, abs(element.scalar_part() - 1.0), abs(prop - chain.step_coefficient**last))
 
 
-def run_selftest(tolerance: float = 1e-10, seed: int = 1173) -> List[CheckResult]:
-    """Run every invariant check and return one result per check.
+_AP, _P = BoundaryCondition.ANTIPERIODIC, BoundaryCondition.PERIODIC
+_ACTION_POINTS = ((0.0, 1.0), (1e-9, 1.0), (0.5, 2.0), (1.0, 1.0), (2.0, 2.0))
+_ACTION_GRID = tuple(
+    (n, b, w, s, bc) for b, w in _ACTION_POINTS for s in SliceScheme
+    for n in range(1, 5) for bc in BoundaryCondition
+)
 
-    tolerance bounds the route-equivalence comparison; the remaining
-    checks pin their own tighter bounds.
-    """
-    rng = random.Random(seed)
-    plan: List[Tuple[str, Callable[[], Tuple[bool, str]]]] = [
-        ("generator-anticommutation", _check_anticommutation),
-        ("generator-nilpotency", lambda: _check_nilpotency(rng)),
-        ("product-associativity", lambda: _check_associativity(rng)),
-        ("derivative-squares-to-zero", lambda: _check_derivative_squared(rng)),
-        ("integration-is-differentiation",
-         lambda: _check_integration_is_differentiation(rng)),
-        ("gaussian-determinant-identity", lambda: _check_gaussian_identity(rng)),
-        ("trace-normalization", _check_trace_normalization),
-        ("canonical-anticommutation", _check_canonical_anticommutation),
-        ("density-matrix-spectrum", _check_density_spectrum),
-        ("partition-closed-form", _check_partition_closed_form),
-        ("trace-supertrace-sum", _check_trace_supertrace_sum),
-        ("density-semigroup", _check_density_semigroup),
-        ("mean-energy-derivative", _check_mean_energy_derivative),
-        ("route-equivalence", lambda: _check_route_equivalence(tolerance)),
-        ("antiperiodic-matches-trace", _check_antiperiodic_oracle),
-        ("periodic-matches-supertrace", _check_periodic_oracle),
-        ("graded-partition-duality", _check_graded_duality),
-        ("chain-coefficient-exactness", _check_chain_coefficient),
-        ("contraction-idempotence", _check_contraction_idempotence),
-        ("action-matrix-routes", _check_action_matrix_routes),
-    ]
-    results = []
-    for name, check in plan:
-        passed, detail = check()
-        results.append(CheckResult(name, passed, detail))
-    return results
+INVARIANTS = (
+    Invariant("generator-anticommutation", "|g_i g_j + g_j g_i|",
+              tuple(itertools.product(range(6), repeat=2)), 0.0, _anticommutator),
+    Invariant("generator-nilpotency", "|g_i g_i|", range(6), 0.0,
+              lambda i: _size(mul(_GENERATORS[i], _GENERATORS[i]))),
+    Invariant("constant-free-power-vanishes", "|a^7| for constant-free a", range(50), 0.0,
+              _power_of_constant_free),
+    Invariant("product-associativity", "|(ab)c - a(bc)|", range(200), 1e-12, _associativity),
+    Invariant("derivative-squares-to-zero", "|d/dg d/dg a|", range(100), 0.0,
+              _derivative_squared),
+    Invariant("integration-is-differentiation", "|int dg a - d/dg a|", range(100), 0.0,
+              _integration_vs_derivative),
+    Invariant("gaussian-determinant-identity", "|integral - det|", range(200), 1e-10,
+              lambda draw: _integral_vs_det(_random_matrix(draw))),
+    Invariant("trace-normalization", "|trace of the zero-beta kernel - 2|", _ONCE, 1e-14,
+              _trace_normalization),
+    Invariant("canonical-anticommutation", "|{c, c+} - 1|, |c c|, |c+ c+|", _ONCE, 0.0,
+              _canonical_anticommutation),
+    Invariant("density-matrix-spectrum", "eigenvalue deviation", _GRID, 1e-12, _density_spectrum),
+    Invariant("partition-closed-form", "relative |Tr rho - (1 + e^-bw)|", _GRID, 1e-15,
+              lambda p: _rel(partition_trace(density_matrix(*p)), 1.0 + math.exp(-p[0] * p[1]))),
+    Invariant("supertrace-closed-form", "relative |Str rho - (1 - e^-bw)|", _GRID, 1e-14,
+              lambda p: _rel(supertrace(density_matrix(*p)), 1.0 - math.exp(-p[0] * p[1]))),
+    Invariant("trace-supertrace-sum", "|Tr rho + Str rho - 2|", _GRID, 1e-14,
+              lambda p: abs(partition_trace(density_matrix(*p))
+                            + supertrace(density_matrix(*p)) - 2.0)),
+    Invariant("density-semigroup", "entrywise semigroup defect",
+              tuple(itertools.product(_BETAS + (5.0,), _BETAS + (5.0,), _OMEGAS)), 1e-14,
+              _density_semigroup),
+    Invariant("mean-energy-derivative", "|<E> + dlnZ/dbeta|", _GRID, 1e-8,
+              _mean_energy_derivative),
+    Invariant("entropy-high-temperature-limit", "|S(beta=1e-4) - ln 2|", _ONCE, 1e-6,
+              lambda _: abs(thermal_observables(1e-4, 1.0).entropy - math.log(2.0))),
+    Invariant("route-equivalence", "|chain route - determinant route|",
+              tuple(itertools.product((1, 2, 4, 8), _BETAS, _OMEGAS, SliceScheme)), 1e-10,
+              _route_equivalence),
+    Invariant("antiperiodic-matches-trace", "relative closure/trace mismatch", _GRID, 1e-12,
+              lambda p: _rel(close_boundary(kernel_paper_form(*p), _AP),
+                             partition_trace(density_matrix(*p)))),
+    Invariant("periodic-matches-supertrace", "relative closure/supertrace mismatch", _GRID,
+              1e-12, lambda p: _rel(close_boundary(kernel_paper_form(*p), _P),
+                                    supertrace(density_matrix(*p)))),
+    Invariant("graded-partition-duality", "|Z+ * sum_n e^(-bwn) - 1|", _GRID, 1e-12,
+              _graded_duality),
+    Invariant("chain-coefficient-exactness", "coefficient defect", range(1, 65), 1e-13,
+              _chain_coefficient),
+    Invariant("interior-contraction-form", "stray or wrong coefficient",
+              ((2, 2.0, 0.25, SliceScheme.FIRST_ORDER), (3, 3.0, 1.0, SliceScheme.EXACT)),
+              0.0, _interior_contraction),
+    Invariant("action-matrix-routes", "|integral - det| over action matrices", _ACTION_GRID,
+              1e-10, lambda p: _integral_vs_det(action_matrix(DiscretizedChain(*p[:4]), p[4]))),
+)
+
+
+def run_selftest() -> List[CheckResult]:
+    """Check every catalogue entry and return one result per entry."""
+    return [invariant.check() for invariant in INVARIANTS]

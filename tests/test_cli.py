@@ -147,6 +147,50 @@ def test_chain_rejects_beta_zero_even_with_flag_elsewhere(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "exact --beta nan --omega 1",
+        "chain --beta 1 --omega nan",
+        "determinant --beta inf --omega 1",
+        "sweep --beta 1 -1 --omega 1",
+        "chain --beta 1 --omega 0",
+        "chain --beta 1 --omega 1 --steps 0",
+    ],
+)
+def test_invalid_point_exits_2_with_empty_stdout(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_cross_check_is_relative_at_large_magnitude(capsys):
+    code, out = run_cli(
+        capsys, "determinant", "--beta", "700", "--omega", "1", "--steps", "8",
+        "--scheme", "first-order",
+    )
+    assert code == 0
+    lam8 = (1.0 - 700.0 / 8) ** 8
+    for row, want in zip(json_rows(out), (1.0 + lam8, 1.0 - lam8)):
+        assert abs(row["z_value"] - want) <= 1e-12 * abs(want)
+
+
+def test_overflowing_determinant_exits_1_without_rows(capsys):
+    code = main("determinant --beta 1e6 --omega 1 --steps 200 --scheme first-order".split())
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "not finite" in err
+
+
+def test_emit_refuses_non_finite_values():
+    row = ResultRow("exact", 1.0, 1.0, None, "periodic", math.nan, 1.0, math.nan)
+    for fmt in ("json", "csv"):
+        with pytest.raises(ValueError):
+            emit([row], fmt)
+
+
 def test_unknown_scheme_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["chain", "--beta", "1", "--omega", "1", "--scheme", "cubic"])

@@ -77,6 +77,11 @@ class TestMonomial:
     def test_repeated_index_vanishes(self):
         assert monomial(REG6, [0, 0]).is_zero
 
+    def test_non_finite_coefficient_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                monomial(REG6, [0], bad)
+
 
 class TestLinearOps:
     def test_additive_identity(self):
@@ -101,6 +106,11 @@ class TestProduct:
     def test_generator_squares_to_zero(self):
         c0 = monomial(REG6, [0])
         assert mul(c0, c0).is_zero
+
+    def test_overflowing_product_rejected(self):
+        big = monomial(REG6, [0], 1e200)
+        with pytest.raises(ValueError, match="non-finite"):
+            mul(big, monomial(REG6, [1], 1e200))
 
     def test_even_element_square(self):
         # (1 + c0c1)^2 = 1 + 2 c0c1, the bilinear square drops out
@@ -261,6 +271,15 @@ class TestSubstitute:
 def test_generator_anticommutation_exact(i, j):
     gi, gj = monomial(REG6, [i]), monomial(REG6, [j])
     assert add(mul(gi, gj), mul(gj, gi)).is_zero
+
+
+@given(st.permutations(range(40)), st.integers(0, 40), st.integers(0, 40))
+@settings(max_examples=150, deadline=None)
+def test_product_sign_matches_written_order(order, split, end):
+    # monomial() sorts the written order by its own transposition count
+    reg = register_generators(["h%d" % i for i in range(40)])
+    left, right = order[:split], order[split:max(split, end)]
+    assert mul(monomial(reg, left), monomial(reg, right)) == monomial(reg, left + right)
 
 
 @given(elements(), elements(), elements())

@@ -15,6 +15,7 @@ from fermiosc.oscillator import (
     partition_trace,
     supertrace,
     thermal_observables,
+    validate_point,
 )
 
 GRID = [(b, w) for b in (0.1, 0.5, 1.0, 2.0, 5.0) for w in (0.5, 1.0, 2.0)]
@@ -54,6 +55,21 @@ def test_hamiltonian_spectrum(omega):
     h = hamiltonian(omega)
     assert sorted(np.linalg.eigvalsh(h)) == pytest.approx([0.0, omega])
     assert np.trace(h) == omega
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (1.0, math.nan), (1.0, -math.inf),
+     (1.0, math.inf), (1.0, 0.0), (1.0, -1.0), (1.0, 1.0, 0)],
+)
+def test_validate_point_refuses(point):
+    with pytest.raises(ValueError):
+        validate_point(*point)
+
+
+def test_validate_point_accepts_the_domain():
+    for point in [(0.0, 1e-300), (1e300, 1e300), (1.0, 1.0, 1)]:
+        validate_point(*point)
 
 
 def test_hamiltonian_rejects_bad_frequency():
@@ -128,11 +144,6 @@ def test_mean_energy_value():
     point = thermal_observables(1.0, 1.0)
     q = math.exp(-1.0)
     assert point.mean_energy == pytest.approx(q / (1.0 + q), rel=1e-14)
-
-
-def test_entropy_infinite_temperature_limit():
-    point = thermal_observables(1e-4, 1.0)
-    assert point.entropy == pytest.approx(math.log(2.0), abs=1e-4)
 
 
 def test_ground_state_observables():
