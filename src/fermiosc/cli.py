@@ -25,7 +25,6 @@ from .path_integral import (
     close_boundary,
     contract_chain,
     convergence_sweep,
-    paper_normalized,
     partition_via_determinant,
 )
 from .selftest import run_selftest
@@ -155,7 +154,7 @@ def run_chain(config: RunConfig) -> List[ResultRow]:
     rows = []
     for beta in config.beta:
         chain = DiscretizedChain(config.steps[0], beta, config.omega, config.scheme)
-        kernel = paper_normalized(contract_chain(chain))
+        kernel = contract_chain(chain)
         for bc in _boundary_conditions(config.bc):
             z = close_boundary(kernel, bc)
             rows.append(_make_row("chain", beta, config.omega, chain.n_steps, bc, z))

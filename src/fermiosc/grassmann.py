@@ -4,7 +4,10 @@ Elements are sparse real-linear combinations of monomials in named
 anticommuting generators.  Monomials are stored as bitmasks over the
 registry's canonical generator order; every sign is derived from the
 transposition count against that order, so there is one global sign
-convention and no sign drift between operations.
+convention and no sign drift between operations.  The pair measure is
+dc* dc, innermost first, so the pair integral of e^{-c* c} = 1 - c* c is 1;
+the coherent-state trace built on it lives in
+``fermiosc.path_integral.close_boundary``.
 
 All values are immutable after construction and every operation is a pure
 function; elements may be shared freely across threads.
@@ -38,7 +41,6 @@ __all__ = [
     "exp_nilpotent",
     "gaussian_integral_expand",
     "determinant",
-    "trace_functional",
     "max_coefficient_difference",
 ]
 
@@ -182,7 +184,7 @@ def _build(registry: GeneratorRegistry, terms: dict[int, float]) -> GrassmannEle
         if DROP_TOLERANCE <= size < math.inf:
             pruned[mask] = coeff
         elif not size < DROP_TOLERANCE:  # inf or NaN
-            raise ValueError(f"non-finite coefficient {coeff!r}")
+            raise ArithmeticError(f"non-finite coefficient {coeff!r}")
     return GrassmannElement(registry, pruned)
 
 
@@ -427,47 +429,6 @@ def determinant(m) -> float:
         for row in range(col + 1, n):
             arr[row, col:] -= (arr[row, col] / arr[col, col]) * arr[col, col:]
     return float(det)
-
-
-def trace_functional(
-    kernel: GrassmannElement,
-    pair: tuple[int, int],
-    prime: int | None = None,
-) -> float:
-    """Coherent-state trace of a one-mode kernel.
-
-    ``kernel`` is a function of the pair's starred generator c* and of a
-    second generator c' (``prime``); the trace substitutes c' -> -c, weighs
-    by exp(-c*c) = 1 - c*c and integrates the pair.  When ``prime`` is not
-    given it is inferred as the unique non-pair generator in the kernel's
-    support.
-
-    Raises ValueError if the kernel references generators other than c*
-    and c'.
-    """
-    g_star, g = pair
-    registry = kernel.registry
-    if not registry.is_pair(g_star, g):
-        raise ValueError(f"generators {g_star} and {g} are not a registered conjugate pair")
-    support = kernel.support()
-    if prime is None:
-        leftover = support & ~(1 << g_star)
-        if leftover == 0:
-            prime = None
-        elif leftover & (leftover - 1) == 0:
-            prime = leftover.bit_length() - 1
-        else:
-            raise ValueError("cannot infer the substituted generator from the kernel support")
-    if prime is not None:
-        _check_generator(registry, prime)
-    allowed = (1 << g_star) | (0 if prime is None else 1 << prime)
-    if support & ~allowed:
-        raise ValueError("kernel references generators outside {c*, c'}")
-
-    weighed = kernel if prime is None else substitute(kernel, prime, g, -1.0)
-    weight = add(one(registry), monomial(registry, [g_star, g], -1.0))
-    reduced = integrate_pair(mul(weighed, weight), g_star, g)
-    return reduced.scalar_part()
 
 
 def max_coefficient_difference(a: GrassmannElement, b: GrassmannElement) -> float:

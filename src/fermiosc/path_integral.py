@@ -2,12 +2,13 @@
 
 The imaginary-time propagator is built from per-step coherent-state kernels
 1 + lambda * c_k* c_{k-1}, contracted pair by pair with Berezin integration
-until only the boundary generators c*(beta), c(beta), c(0) survive.  Closing
-the boundary antiperiodically gives the physical partition function
-1 + e^{-beta*omega}; closing it periodically gives the graded partition
-function 1 - e^{-beta*omega}.  The same numbers come out of the determinant
-of the discrete action's quadratic form, which doubles as an independent
-route for cross-validation.
+into the kernel <c(beta)|e^{-beta H}|c(0)> = 1 + lambda^N c*(beta) c(0).
+The closure is the coherent-state trace int dc* dc e^{-c* c} K(c*, -+c)
+(Negele & Orland, ch. 1-2): antiperiodic gives the physical partition
+function 1 + e^{-beta*omega}, periodic the graded partition function
+1 - e^{-beta*omega}.  The same numbers come out of the determinant of the
+discrete action's quadratic form, which doubles as an independent route
+for cross-validation.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from .grassmann import (
     GAUSSIAN_CAP,
-    GeneratorRegistry,
     GrassmannElement,
     add,
     coefficient,
@@ -38,15 +38,12 @@ from .grassmann import (
 from .oscillator import validate_point
 
 __all__ = [
-    "SYMBOLIC_CHAIN_CAP",
     "SliceScheme",
     "BoundaryCondition",
     "DiscretizedChain",
     "PropagatorKernel",
-    "step_kernel",
     "contract_chain",
     "kernel_paper_form",
-    "paper_normalized",
     "close_boundary",
     "closed_form_partition",
     "action_matrix",
@@ -57,9 +54,20 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Symbolic chains keep at most three live conjugate pairs thanks to eager
-# contraction, but the registry itself grows with N; cap it.
-SYMBOLIC_CHAIN_CAP = 64
+# Every chain lives on these five generators: c(0), the boundary pair and a
+# spare pair.  Interior time points alternate between the two pairs, and
+# each pair is integrated out before its slot is used again.
+_REGISTRY = register_generators(
+    ["c(0)", "c(b)", "c*(b)", "c(t)", "c*(t)"],
+    pairs=[("c(b)", "c*(b)"), ("c(t)", "c*(t)")],
+)
+_C0 = 0
+_PAIRS = ((1, 2), (3, 4))  # (c, c*): the boundary pair, then the spare pair
+_CB, _CB_STAR = _PAIRS[0]
+# e^{-c* c} = 1 - c* c, the coherent-state measure weight of each pair
+_WEIGHTS = tuple(
+    add(one(_REGISTRY), monomial(_REGISTRY, [star, c], -1.0)) for c, star in _PAIRS
+)
 
 
 class SliceScheme(enum.Enum):
@@ -78,34 +86,17 @@ class BoundaryCondition(enum.Enum):
 
 @dataclass(frozen=True)
 class DiscretizedChain:
-    """A beta-interval split into N slices, with one generator pair per time point.
-
-    The registry holds c_0, c_0*, ..., c_N, c_N* in time order; c_0 and the
-    pair at N are the boundary generators, everything between gets contracted.
-    """
+    """A beta-interval split into N slices of width epsilon = beta / N."""
 
     n_steps: int
     beta: float
     omega: float
     scheme: SliceScheme = SliceScheme.EXACT
     epsilon: float = field(init=False)
-    registry: GeneratorRegistry = field(init=False)
 
     def __post_init__(self) -> None:
         validate_point(self.beta, self.omega, self.n_steps)
         object.__setattr__(self, "epsilon", self.beta / self.n_steps)
-        labels: list[str] = []
-        pairs: list[tuple[str, str]] = []
-        for k in range(self.n_steps + 1):
-            labels += [f"c{k}", f"c{k}*"]
-            pairs.append((f"c{k}", f"c{k}*"))
-        object.__setattr__(self, "registry", register_generators(labels, pairs))
-
-    def c_index(self, k: int) -> int:
-        return 2 * k
-
-    def cstar_index(self, k: int) -> int:
-        return 2 * k + 1
 
     @property
     def step_coefficient(self) -> float:
@@ -118,153 +109,83 @@ class DiscretizedChain:
 
 @dataclass(frozen=True)
 class PropagatorKernel:
-    """Boundary kernel over {c*(beta), c(beta), c(0)} with extracted coefficients.
+    """The kernel <c(beta)|e^{-beta H}|c(0)> = coeff_id + coeff_prop c*(beta) c(0).
 
-    coeff_id is the scalar term, coeff_diag the coefficient on c*(beta)c(beta)
-    and coeff_prop the coefficient on c*(beta)c(0), both in that written order.
+    ``element`` lives on the module's fixed registry; coeff_prop is the
+    coefficient of c*(beta) c(0) in that written order.
     """
 
     element: GrassmannElement
-    g_c0: int
-    g_cb: int
-    g_cb_star: int
     coeff_id: float
-    coeff_diag: float
     coeff_prop: float
 
     @classmethod
-    def from_element(
-        cls, element: GrassmannElement, g_c0: int, g_cb: int, g_cb_star: int
-    ) -> PropagatorKernel:
-        diag_mask = (1 << g_cb_star) | (1 << g_cb)
-        prop_mask = (1 << g_cb_star) | (1 << g_c0)
-        allowed = {0, diag_mask, prop_mask}
-        stray = [m for m in element.terms if m not in allowed]
+    def from_element(cls, element: GrassmannElement) -> PropagatorKernel:
+        prop_mask = (1 << _CB_STAR) | (1 << _C0)
+        stray = [m for m in element.terms if m not in (0, prop_mask)]
         if stray:
             raise ValueError(f"unexpected monomials in boundary kernel: {stray}")
-        return cls(
-            element=element,
-            g_c0=g_c0,
-            g_cb=g_cb,
-            g_cb_star=g_cb_star,
-            coeff_id=element.scalar_part(),
-            coeff_diag=coefficient(element, [g_cb_star, g_cb]),
-            coeff_prop=coefficient(element, [g_cb_star, g_c0]),
-        )
+        return cls(element, element.scalar_part(), coefficient(element, [_CB_STAR, _C0]))
 
 
-def step_kernel(chain: DiscretizedChain, k: int) -> GrassmannElement:
-    """Single-slice kernel 1 + lambda * c_k* c_{k-1}."""
-    if not 1 <= k <= chain.n_steps:
-        raise ValueError(f"step index {k} outside 1..{chain.n_steps}")
-    lam = chain.step_coefficient
-    return add(
-        one(chain.registry),
-        monomial(chain.registry, [chain.cstar_index(k), chain.c_index(k - 1)], lam),
-    )
+def _slice_kernel(lam: float, star: int, c: int) -> GrassmannElement:
+    """1 + lambda c_k* c_{k-1}, with c_k* and c_{k-1} at the given generators."""
+    return add(one(_REGISTRY), monomial(_REGISTRY, [star, c], lam))
 
 
 def contract_chain(chain: DiscretizedChain) -> PropagatorKernel:
-    """Multiply the slice kernels and integrate out every intermediate pair.
+    """Multiply the slice kernels and integrate out every interior pair.
 
-    Pairs are contracted eagerly in ascending time order, so only the
-    newest slice and the boundary generators are ever simultaneously live.
-    The resulting kernel's coefficient signs are whatever this convention
-    produces; they are reported, not forced into any particular form.
+    Time point k sits in pair (N - k) % 2, so c_N = c(beta) ends in the
+    boundary pair.  Pairs are weighed by e^{-c_k* c_k} and integrated out
+    eagerly in ascending time order, so a chain of any length needs only
+    the five generators of the fixed registry.  The result is
+    1 + lambda^N c*(beta) c(0).
     """
-    if chain.n_steps > SYMBOLIC_CHAIN_CAP:
-        raise ValueError(
-            f"symbolic chains are capped at N = {SYMBOLIC_CHAIN_CAP}; "
-            "use the determinant route for larger N"
-        )
-    registry = chain.registry
-    element = step_kernel(chain, 1)
-    for k in range(2, chain.n_steps + 1):
-        element = mul(element, step_kernel(chain, k))
-        mid_star = chain.cstar_index(k - 1)
-        mid = chain.c_index(k - 1)
-        weight = add(one(registry), monomial(registry, [mid_star, mid], -1.0))
-        element = integrate_pair(mul(element, weight), mid_star, mid)
-    last = chain.n_steps
-    endpoint = add(
-        one(registry),
-        monomial(registry, [chain.cstar_index(last), chain.c_index(last)], 1.0),
-    )
-    element = mul(element, endpoint)
-    kernel = PropagatorKernel.from_element(
-        element,
-        g_c0=chain.c_index(0),
-        g_cb=chain.c_index(last),
-        g_cb_star=chain.cstar_index(last),
-    )
+    lam = chain.step_coefficient
+    n = chain.n_steps
+    element = _slice_kernel(lam, _PAIRS[(n - 1) % 2][1], _C0)
+    # hops[p] carries c_{k-1} in pair p to c_k in the other pair
+    hops = [_slice_kernel(lam, _PAIRS[1 - p][1], _PAIRS[p][0]) for p in (0, 1)]
+    for k in range(2, n + 1):
+        p = (n - k + 1) % 2
+        c, star = _PAIRS[p]
+        element = integrate_pair(mul(mul(element, hops[p]), _WEIGHTS[p]), star, c)
+    kernel = PropagatorKernel.from_element(element)
     logger.debug(
-        "contracted chain N=%d scheme=%s: coeff_id=%.17g coeff_diag=%.17g coeff_prop=%.17g",
+        "contracted chain N=%d scheme=%s: coeff_id=%.17g coeff_prop=%.17g",
         chain.n_steps,
         chain.scheme.value,
         kernel.coeff_id,
-        kernel.coeff_diag,
         kernel.coeff_prop,
     )
     return kernel
 
 
-def _boundary_registry() -> tuple[GeneratorRegistry, int, int, int]:
-    registry = register_generators(
-        ["c(0)", "c(b)", "c*(b)"], pairs=[("c(b)", "c*(b)")]
-    )
-    return registry, 0, 1, 2
-
-
 def kernel_paper_form(beta: float, omega: float) -> PropagatorKernel:
-    """The closed-form boundary kernel 1 + c*(b)c(b) - e^{-beta*omega} c*(b)c(0).
+    """The closed-form kernel 1 + e^{-beta*omega} c*(beta) c(0).
 
-    This is the full exponential: both exponent terms share c*(beta), so
-    every cross and square term vanishes and the expansion stops at first
-    order.
+    This is the full exponential exp(e^{-beta*omega} c*(beta) c(0)): the
+    exponent squares to zero, so the expansion stops at first order.
     """
     validate_point(beta, omega)
-    registry, g_c0, g_cb, g_cb_star = _boundary_registry()
-    element = add(
-        add(one(registry), monomial(registry, [g_cb_star, g_cb], 1.0)),
-        monomial(registry, [g_cb_star, g_c0], -math.exp(-beta * omega)),
-    )
-    return PropagatorKernel.from_element(element, g_c0, g_cb, g_cb_star)
-
-
-def paper_normalized(kernel: PropagatorKernel) -> PropagatorKernel:
-    """Rebuild a contracted kernel in the closed form 1 + c*c - prop c*c(0).
-
-    The chain contraction's sign bookkeeping differs from the closed form
-    by exactly the minus sign the trace closure expects, so normalization
-    negates coeff_prop and pins the other two coefficients to 1.  For the
-    exact scheme this reproduces the closed-form kernel literally.
-    """
-    registry = kernel.element.registry
-    element = add(
-        add(one(registry), monomial(registry, [kernel.g_cb_star, kernel.g_cb], 1.0)),
-        monomial(registry, [kernel.g_cb_star, kernel.g_c0], -kernel.coeff_prop),
-    )
-    return PropagatorKernel.from_element(
-        element, kernel.g_c0, kernel.g_cb, kernel.g_cb_star
-    )
+    element = _slice_kernel(math.exp(-beta * omega), _CB_STAR, _C0)
+    return PropagatorKernel.from_element(element)
 
 
 def close_boundary(kernel: PropagatorKernel, bc: BoundaryCondition) -> float:
-    """Close the time circle and return the scalar partition value.
+    """Close the time circle with the coherent-state trace and return the scalar.
 
-    Substitutes c(0) -> -c(beta) (antiperiodic) or c(0) -> +c(beta)
-    (periodic) and integrates the boundary pair.  The closure's measure is
-    the reverse of the module's dc* dc convention, hence the final sign
-    flip; applied to the closed-form kernel this returns exactly
-    1 -+ e^{-beta*omega}.
+    Computes int dc*(beta) dc(beta) e^{-c*(beta) c(beta)} K(c*(beta), -+c(beta)):
+    substitutes c(0) -> -c(beta) (antiperiodic) or c(0) -> +c(beta)
+    (periodic), weighs by 1 - c*(beta) c(beta) and integrates the boundary
+    pair.  On 1 + q c*(beta) c(0) this returns 1 + q or 1 - q.
     """
-    allowed = (1 << kernel.g_c0) | (1 << kernel.g_cb) | (1 << kernel.g_cb_star)
-    if kernel.element.support() & ~allowed:
+    if kernel.element.support() & ~((1 << _C0) | (1 << _CB) | (1 << _CB_STAR)):
         raise ValueError("kernel references generators outside the boundary set")
     factor = -1.0 if bc is BoundaryCondition.ANTIPERIODIC else 1.0
-    closed = substitute(kernel.element, kernel.g_c0, kernel.g_cb, factor)
-    reduced = integrate_pair(closed, kernel.g_cb_star, kernel.g_cb)
-    return -reduced.scalar_part()
+    closed = substitute(kernel.element, _C0, _CB, factor)
+    return integrate_pair(mul(closed, _WEIGHTS[0]), _CB_STAR, _CB).scalar_part()
 
 
 def closed_form_partition(beta: float, omega: float, bc: BoundaryCondition) -> float:

@@ -7,21 +7,13 @@ lines; each line names the criterion, the worst observed defect, and the
 tolerance it is held to.
 """
 
-from fermiosc.grassmann import (
-    add,
-    coefficient,
-    integrate_pair,
-    monomial,
-    mul,
-    one,
-)
 from fermiosc.path_integral import (
     BoundaryCondition,
     DiscretizedChain,
     SliceScheme,
     closed_form_partition,
+    contract_chain,
     partition_via_determinant,
-    step_kernel,
 )
 
 AP = BoundaryCondition.ANTIPERIODIC
@@ -43,27 +35,13 @@ def _verdict(num, label, defect, tolerance):
 
 
 def test_criterion_05_three_slice_contraction_form():
+    # from_element refuses any monomial but 1 and c*(beta) c(0)
     chain = DiscretizedChain(3, 3.0, 1.0)
-    element = one(chain.registry)
-    for k in (1, 2, 3):
-        element = mul(element, step_kernel(chain, k))
-    for k in (1, 2):
-        weight = add(
-            one(chain.registry),
-            monomial(chain.registry, [chain.cstar_index(k), chain.c_index(k)], -1.0),
-        )
-        element = integrate_pair(
-            mul(element, weight), chain.cstar_index(k), chain.c_index(k)
-        )
-    prop_mask = (1 << chain.cstar_index(3)) | (1 << chain.c_index(0))
-    stray = max(
-        (abs(c) for m, c in element.terms.items() if m not in (0, prop_mask)),
-        default=0.0,
-    )
-    survivor = coefficient(element, [chain.cstar_index(3), chain.c_index(0)])
-    assert element.scalar_part() == 1.0
-    assert abs(survivor - chain.step_coefficient**3) <= 1e-15
-    _verdict(5, "three-slice kernel has two monomials", stray, 1e-15)
+    kernel = contract_chain(chain)
+    assert kernel.coeff_id == 1.0
+    assert abs(kernel.coeff_prop - chain.step_coefficient**3) <= 1e-15
+    missing = 2 - len(kernel.element.terms)
+    _verdict(5, "three-slice kernel has two monomials", missing, 0)
 
 
 def test_criterion_06_step_count_convergence():

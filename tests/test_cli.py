@@ -4,6 +4,7 @@ import math
 import pytest
 
 from fermiosc.cli import ResultRow, emit, main
+from fermiosc.selftest import Invariant
 
 
 def run_cli(capsys, *argv):
@@ -197,10 +198,51 @@ def test_unknown_scheme_exits_with_usage_error(capsys):
     assert err.value.code == 2
 
 
-def test_oversized_chain_exits_with_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["chain", "--beta", "1", "--omega", "1", "--steps", "65"])
-    assert err.value.code == 2
+def test_overflowing_chain_exits_1_without_rows(capsys):
+    code = main("chain --beta 1e300 --omega 1 --steps 8 --scheme first-order".split())
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "non-finite" in err
+
+
+def test_chain_past_64_steps_prints_rows(capsys):
+    code, out = run_cli(capsys, "chain", "--beta", "1", "--omega", "1", "--steps", "65")
+    lam65 = math.exp(-1.0 / 65) ** 65
+    assert code == 0
+    assert [r["z_value"] for r in json_rows(out)] == pytest.approx(
+        [1.0 + lam65, 1.0 - lam65], rel=1e-13
+    )
+
+
+# stdout of earlier releases, byte for byte: a change of convention must not move it
+GOLDEN_CHAIN = {
+    "chain --beta 1e-4 --omega 0.5 --steps 1 --scheme exact":
+        '{"route": "chain", "beta": 0.0001, "omega": 0.5, "n_steps": 1, "bc": "antiperiodic", '
+        '"z_value": 1.9999500012499791, "reference_z": 1.9999500012499791, "abs_error": 0.0}\n'
+        '{"route": "chain", "beta": 0.0001, "omega": 0.5, "n_steps": 1, "bc": "periodic", '
+        '"z_value": 4.999875002087428e-05, "reference_z": 4.999875002087428e-05, "abs_error": 0.0}\n',
+    "chain --beta 1e-4 --omega 2 --steps 64 --scheme first-order":
+        '{"route": "chain", "beta": 0.0001, "omega": 2.0, "n_steps": 64, "bc": "antiperiodic", '
+        '"z_value": 1.9998000196862291, "reference_z": 1.9998000199986667, '
+        '"abs_error": 3.12437631322382e-10}\n'
+        '{"route": "chain", "beta": 0.0001, "omega": 2.0, "n_steps": 64, "bc": "periodic", '
+        '"z_value": 0.00019998031377077563, "reference_z": 0.00019998000133325533, '
+        '"abs_error": 3.1243752030007954e-10}\n',
+    "chain --beta 30 --omega 2 --steps 7 --scheme first-order --format csv":
+        "route,beta,omega,n_steps,bc,z_value,reference_z,abs_error\n"
+        "chain,30,2,7,antiperiodic,-1426410.4197279315,1,1426411.4197279315\n"
+        "chain,30,2,7,periodic,1426412.4197279315,1,1426411.4197279315\n",
+    "chain --beta 30 --omega 1 --steps 64 --scheme exact --format csv":
+        "route,beta,omega,n_steps,bc,z_value,reference_z,abs_error\n"
+        "chain,30,1,64,antiperiodic,1.0000000000000935,1.0000000000000935,0\n"
+        "chain,30,1,64,periodic,0.99999999999990641,0.99999999999990641,0\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_CHAIN))
+def test_chain_stdout_matches_golden(capsys, argv):
+    assert run_cli(capsys, *argv.split()) == (0, GOLDEN_CHAIN[argv])
 
 
 def test_selftest_passes_and_reports_counts(capsys):
@@ -210,6 +252,20 @@ def test_selftest_passes_and_reports_counts(capsys):
     assert lines[-1].startswith("selftest: ")
     assert ", 0 failed" in lines[-1]
     assert all(line.startswith("PASS") for line in lines[:-1])
+
+
+def test_selftest_reports_a_raising_entry(capsys, monkeypatch):
+    def broken(_):
+        raise ArithmeticError("boom")
+
+    entry = Invariant("broken", "defect", (0,), 0.0, broken)
+    monkeypatch.setattr("fermiosc.selftest.INVARIANTS", (entry,))
+    code, out = run_cli(capsys, "selftest")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL broken: raised ArithmeticError: boom",
+        "selftest: 0 passed, 1 failed",
+    ]
 
 
 def test_emit_rejects_empty_and_unknown():

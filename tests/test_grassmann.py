@@ -21,7 +21,12 @@ from fermiosc.grassmann import (
     register_generators,
     scale,
     substitute,
-    trace_functional,
+)
+from fermiosc.path_integral import (
+    BoundaryCondition,
+    PropagatorKernel,
+    close_boundary,
+    kernel_paper_form,
 )
 
 REG6 = register_generators(["g%d" % i for i in range(6)])
@@ -79,7 +84,7 @@ class TestMonomial:
 
     def test_non_finite_coefficient_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="non-finite"):
+            with pytest.raises(ArithmeticError, match="non-finite"):
                 monomial(REG6, [0], bad)
 
 
@@ -109,7 +114,7 @@ class TestProduct:
 
     def test_overflowing_product_rejected(self):
         big = monomial(REG6, [0], 1e200)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ArithmeticError, match="non-finite"):
             mul(big, monomial(REG6, [1], 1e200))
 
     def test_even_element_square(self):
@@ -227,28 +232,24 @@ class TestDeterminant:
 
 
 class TestTraceFunctional:
-    REG = register_generators(["c", "c*", "c'"], pairs=[("c", "c*")])
+    """The coherent-state trace over one boundary pair, as close_boundary applies it."""
 
-    def kernel(self, q):
-        return add(one(self.REG), monomial(self.REG, [1, 2], q))
+    REG = kernel_paper_form(1.0, 1.0).element.registry
+    C0, CB_STAR, CT = map(REG.index, ("c(0)", "c*(b)", "c(t)"))
+
+    def kernel(self, element):
+        return PropagatorKernel.from_element(element)
 
     def test_unit_coefficient_counts_states(self):
-        assert trace_functional(self.kernel(1.0), (1, 0), prime=2) == 2.0
-
-    def test_bare_identity_kernel(self):
-        assert trace_functional(one(self.REG), (1, 0)) == 1.0
-
-    @given(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
-    def test_linear_in_kernel_coefficient(self, q):
-        got = trace_functional(self.kernel(q), (1, 0), prime=2)
-        assert got == pytest.approx(1.0 + q, rel=1e-14, abs=1e-14)
+        # 1 + c*(beta) c(0) is the unit overlap; its antiperiodic trace is Tr 1 = 2
+        k = self.kernel(add(one(self.REG), monomial(self.REG, [self.CB_STAR, self.C0])))
+        assert close_boundary(k, BoundaryCondition.ANTIPERIODIC) == 2.0
 
     def test_foreign_generator_rejected(self):
-        reg = register_generators(["c", "c*", "c'", "x"], pairs=[("c", "c*")])
-        bad = add(one(reg), monomial(reg, [1, 3]))
-        bad = add(bad, monomial(reg, [1, 2], 0.5))
+        bad = add(one(self.REG), monomial(self.REG, [self.CB_STAR, self.CT]))
+        bad = add(bad, monomial(self.REG, [self.CB_STAR, self.C0], 0.5))
         with pytest.raises(ValueError):
-            trace_functional(bad, (1, 0), prime=2)
+            close_boundary(self.kernel(bad), BoundaryCondition.ANTIPERIODIC)
 
 
 class TestSubstitute:

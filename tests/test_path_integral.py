@@ -5,17 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermiosc.grassmann import (
-    add,
-    coefficient,
-    integrate_pair,
-    monomial,
-    mul,
-    one,
-)
+from fermiosc.grassmann import add, exp_nilpotent, monomial, mul, one
 from fermiosc.oscillator import exact_kernel_coefficient
 from fermiosc.path_integral import (
-    SYMBOLIC_CHAIN_CAP,
     BoundaryCondition,
     DiscretizedChain,
     PropagatorKernel,
@@ -26,23 +18,24 @@ from fermiosc.path_integral import (
     contract_chain,
     convergence_sweep,
     kernel_paper_form,
-    paper_normalized,
     partition_via_determinant,
-    step_kernel,
 )
 from fermiosc.selftest import Invariant
 
 AP = BoundaryCondition.ANTIPERIODIC
 P = BoundaryCondition.PERIODIC
+REGISTRY = kernel_paper_form(1.0, 1.0).element.registry
+C0, CB_STAR, CT = (REGISTRY.index(label) for label in ("c(0)", "c*(b)", "c(t)"))
+
+
+def boundary_kernel(q):
+    """1 + q c*(beta) c(0) on the chain registry."""
+    return PropagatorKernel.from_element(
+        add(one(REGISTRY), monomial(REGISTRY, [CB_STAR, C0], q))
+    )
 
 
 class TestDiscretizedChain:
-    def test_registry_spans_all_time_points(self):
-        chain = DiscretizedChain(5, 1.0, 1.0)
-        assert chain.registry.size == 12
-        assert chain.registry.labels[0] == "c0"
-        assert chain.registry.labels[-1] == "c5*"
-
     def test_epsilon_times_steps_recovers_beta(self):
         chain = DiscretizedChain(7, 2.3, 1.0)
         assert abs(chain.epsilon * chain.n_steps - chain.beta) <= 1e-12
@@ -62,10 +55,9 @@ class TestDiscretizedChain:
 
 class TestStepKernel:
     def test_free_overlap(self):
-        chain = DiscretizedChain(2, 0.0, 1.0)
-        k = step_kernel(chain, 1)
-        assert k.scalar_part() == 1.0
-        assert coefficient(k, [chain.cstar_index(1), chain.c_index(0)]) == 1.0
+        # at beta = 0 each slice, and so the chain, is the overlap 1 + c* c'
+        kernel = contract_chain(DiscretizedChain(2, 0.0, 1.0))
+        assert (kernel.coeff_id, kernel.coeff_prop) == (1.0, 1.0)
 
     def test_first_order_coefficient(self):
         chain = DiscretizedChain(1, 1.0, 0.5, SliceScheme.FIRST_ORDER)
@@ -75,31 +67,23 @@ class TestStepKernel:
         chain = DiscretizedChain(1, math.log(2.0), 1.0)
         assert chain.step_coefficient == pytest.approx(0.5, rel=1e-15)
 
-    def test_index_bounds(self):
-        chain = DiscretizedChain(2, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            step_kernel(chain, 0)
-        with pytest.raises(ValueError):
-            step_kernel(chain, 3)
-
 
 class TestContractChain:
     def test_single_step_passthrough(self):
         kernel = contract_chain(DiscretizedChain(1, math.log(2.0), 1.0))
-        assert abs(kernel.coeff_prop) == pytest.approx(0.5, rel=1e-15)
+        assert kernel.coeff_prop == pytest.approx(0.5, rel=1e-15)
         assert kernel.coeff_id == 1.0
-        assert kernel.coeff_diag == 1.0
 
     def test_first_order_two_steps(self):
         kernel = contract_chain(
             DiscretizedChain(2, 1.0, 1.0, SliceScheme.FIRST_ORDER)
         )
-        assert abs(kernel.coeff_prop) == pytest.approx(0.25, rel=1e-14)
+        assert kernel.coeff_prop == pytest.approx(0.25, rel=1e-14)
 
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 8, 17, 64])
     def test_exact_scheme_is_step_count_independent(self, n_steps):
         kernel = contract_chain(DiscretizedChain(n_steps, 1.0, 1.0))
-        assert abs(kernel.coeff_prop) == pytest.approx(
+        assert kernel.coeff_prop == pytest.approx(
             exact_kernel_coefficient(1.0, 1.0), abs=1e-13
         )
 
@@ -108,65 +92,40 @@ class TestContractChain:
             contract_chain(DiscretizedChain(4, 1.0, 1.0))
         assert any("coeff_prop" in record.message for record in caplog.records)
 
-    def test_chain_cap(self):
-        with pytest.raises(ValueError, match="capped"):
-            contract_chain(DiscretizedChain(SYMBOLIC_CHAIN_CAP + 1, 1.0, 1.0))
+    def test_ten_thousand_steps_match_closed_form(self):
+        for scheme in SliceScheme:
+            chain = DiscretizedChain(10**4, 1.0, 1.0, scheme)
+            kernel = contract_chain(chain)
+            lam_n = chain.step_coefficient**chain.n_steps
+            assert close_boundary(kernel, AP) == pytest.approx(1.0 + lam_n, rel=1e-11)
+            assert close_boundary(kernel, P) == pytest.approx(1.0 - lam_n, rel=1e-11)
 
     def test_parity_violating_kernel_rejected(self):
-        chain = DiscretizedChain(1, 1.0, 1.0)
-        lone = monomial(chain.registry, [chain.c_index(0)])
         with pytest.raises(ValueError, match="monomial"):
-            PropagatorKernel.from_element(
-                lone, chain.c_index(0), chain.c_index(1), chain.cstar_index(1)
-            )
+            PropagatorKernel.from_element(monomial(REGISTRY, [C0]))
 
 
 def test_three_slice_interior_reduces_to_two_monomials():
-    # multiply three step kernels, integrate out both interior pairs
     chain = DiscretizedChain(3, 3.0, 1.0)
-    lam = chain.step_coefficient
-    element = one(chain.registry)
-    for k in (1, 2, 3):
-        element = mul(element, step_kernel(chain, k))
-    for k in (1, 2):
-        weight = add(
-            one(chain.registry),
-            monomial(
-                chain.registry, [chain.cstar_index(k), chain.c_index(k)], -1.0
-            ),
-        )
-        element = integrate_pair(
-            mul(element, weight), chain.cstar_index(k), chain.c_index(k)
-        )
-    survivor = coefficient(element, [chain.cstar_index(3), chain.c_index(0)])
-    assert element.scalar_part() == 1.0
-    assert survivor == pytest.approx(lam**3, rel=1e-14)
-    assert len(element.terms) == 2
+    kernel = contract_chain(chain)
+    assert kernel.coeff_id == 1.0
+    assert kernel.coeff_prop == pytest.approx(chain.step_coefficient**3, rel=1e-14)
+    assert len(kernel.element.terms) == 2
 
 
 class TestPaperFormKernel:
     def test_zero_beta_coefficients(self):
         kernel = kernel_paper_form(0.0, 1.0)
-        assert (kernel.coeff_id, kernel.coeff_diag, kernel.coeff_prop) == (
-            1.0,
-            1.0,
-            -1.0,
-        )
+        assert (kernel.coeff_id, kernel.coeff_prop) == (1.0, 1.0)
 
     def test_propagation_coefficient(self):
         kernel = kernel_paper_form(math.log(2.0), 1.0)
-        assert kernel.coeff_prop == pytest.approx(-0.5, rel=1e-15)
+        assert kernel.coeff_prop == pytest.approx(0.5, rel=1e-15)
 
     def test_exponent_squares_to_zero(self):
-        kernel = kernel_paper_form(1.0, 1.0)
-        registry = kernel.element.registry
-        exponent = add(
-            monomial(registry, [kernel.g_cb_star, kernel.g_cb], 1.0),
-            monomial(
-                registry, [kernel.g_cb_star, kernel.g_c0], -math.exp(-1.0)
-            ),
-        )
+        exponent = monomial(REGISTRY, [CB_STAR, C0], math.exp(-1.0))
         assert mul(exponent, exponent).is_zero
+        assert exp_nilpotent(exponent) == kernel_paper_form(1.0, 1.0).element
 
 
 class TestCloseBoundary:
@@ -183,33 +142,28 @@ class TestCloseBoundary:
         assert close_boundary(kernel, AP) == 2.0
         assert close_boundary(kernel, P) == 0.0
 
+    def test_bare_identity_kernel(self):
+        kernel = PropagatorKernel.from_element(one(REGISTRY))
+        assert [close_boundary(kernel, bc) for bc in (AP, P)] == [1.0, 1.0]
+
+    @given(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
+    def test_linear_in_kernel_coefficient(self, q):
+        kernel = boundary_kernel(q)
+        assert close_boundary(kernel, AP) == pytest.approx(1.0 + q, rel=1e-14, abs=1e-14)
+        assert close_boundary(kernel, P) == pytest.approx(1.0 - q, rel=1e-14, abs=1e-14)
+
     def test_foreign_generators_rejected(self):
-        chain = DiscretizedChain(2, 1.0, 1.0)
-        element = add(
-            one(chain.registry),
-            monomial(
-                chain.registry, [chain.cstar_index(2), chain.c_index(1)], 0.5
-            ),
-        )
-        bad = PropagatorKernel(
-            element=element,
-            g_c0=chain.c_index(0),
-            g_cb=chain.c_index(2),
-            g_cb_star=chain.cstar_index(2),
-            coeff_id=1.0,
-            coeff_diag=0.0,
-            coeff_prop=0.0,
-        )
+        element = add(boundary_kernel(0.5).element, monomial(REGISTRY, [CB_STAR, CT]))
         with pytest.raises(ValueError, match="boundary"):
-            close_boundary(bad, AP)
+            close_boundary(PropagatorKernel(element, 1.0, 0.5), AP)
 
 
-def test_paper_normalized_pins_coefficients():
-    kernel = contract_chain(DiscretizedChain(4, 1.0, 1.0))
-    fixed = paper_normalized(kernel)
-    assert fixed.coeff_id == 1.0
-    assert fixed.coeff_diag == 1.0
-    assert fixed.coeff_prop == -kernel.coeff_prop
+def test_raw_contraction_pins_coefficients():
+    for scheme in SliceScheme:
+        chain = DiscretizedChain(4, 1.0, 1.0, scheme)
+        kernel = contract_chain(chain)
+        assert kernel.coeff_id == 1.0
+        assert kernel.coeff_prop == pytest.approx(chain.step_coefficient**4, rel=1e-14)
 
 
 class TestActionMatrix:
@@ -283,7 +237,7 @@ class TestConvergenceSweep:
 @settings(max_examples=60, deadline=None)
 def test_routes_agree(beta, omega, n_steps, scheme, bc):
     chain = DiscretizedChain(n_steps, beta, omega, scheme)
-    symbolic = close_boundary(paper_normalized(contract_chain(chain)), bc)
+    symbolic = close_boundary(contract_chain(chain), bc)
     direct = partition_via_determinant(chain, bc)
     assert abs(symbolic - direct) <= 1e-10
 
@@ -292,5 +246,5 @@ def test_routes_agree(beta, omega, n_steps, scheme, bc):
 @pytest.mark.parametrize("beta,omega", [(0.1, 2.0), (1.0, 1.0), (2.0, 0.5)])
 def test_symbolic_route_matches_closed_form(beta, omega, bc):
     chain = DiscretizedChain(6, beta, omega)
-    z = close_boundary(paper_normalized(contract_chain(chain)), bc)
+    z = close_boundary(contract_chain(chain), bc)
     assert z == pytest.approx(closed_form_partition(beta, omega, bc), abs=1e-13)
