@@ -320,8 +320,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         rows = _RUNNERS[config.command](config)
     except ValueError as exc:
         parser.error(str(exc))
-    except ArithmeticError as exc:
-        sys.stderr.write("cross-check failure: %s\n" % exc)
+    except ArithmeticError as exc:  # the message names the failed check or overflow
+        sys.stderr.write("%s\n" % exc)
         return _EXIT_CHECK_FAILED
     sys.stdout.write(emit(rows, config.format))
     return _EXIT_OK

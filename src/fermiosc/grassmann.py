@@ -7,7 +7,8 @@ transposition count against that order, so there is one global sign
 convention and no sign drift between operations.  The pair measure is
 dc* dc, innermost first, so the pair integral of e^{-c* c} = 1 - c* c is 1;
 the coherent-state trace built on it lives in
-``fermiosc.path_integral.close_boundary``.
+``fermiosc.path_integral.close_boundary``.  Numeric determinants come
+from numpy or, for the action matrix, from its closed form.
 
 All values are immutable after construction and every operation is a pure
 function; elements may be shared freely across threads.
@@ -40,7 +41,6 @@ __all__ = [
     "substitute",
     "exp_nilpotent",
     "gaussian_integral_expand",
-    "determinant",
     "max_coefficient_difference",
 ]
 
@@ -368,15 +368,6 @@ def exp_nilpotent(a: GrassmannElement) -> GrassmannElement:
         result = add(result, power)
 
 
-def _as_square_matrix(m) -> np.ndarray:
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite")
-    return arr
-
-
 def gaussian_integral_expand(m, cap: int = GAUSSIAN_CAP) -> float:
     """Grassmann Gaussian integral of exp(-sum_ij ci* M_ij cj), fully expanded.
 
@@ -385,7 +376,11 @@ def gaussian_integral_expand(m, cap: int = GAUSSIAN_CAP) -> float:
     scalar equals det M.  Intended as the symbolic side of the
     determinant identity, so n is capped (default 8).
     """
-    arr = _as_square_matrix(m)
+    arr = np.asarray(m, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix entries must be finite")
     n = arr.shape[0]
     if n > cap:
         raise ValueError(f"dimension {n} exceeds the symbolic expansion cap {cap}")
@@ -408,27 +403,6 @@ def gaussian_integral_expand(m, cap: int = GAUSSIAN_CAP) -> float:
     for j in reversed(range(n)):
         expanded = integrate_pair(expanded, star[j], plain[j])
     return expanded.scalar_part()
-
-
-def determinant(m) -> float:
-    """Determinant by row reduction with partial pivoting and sign tracking.
-
-    Singular matrices return exactly 0.
-    """
-    arr = _as_square_matrix(m).copy()
-    n = arr.shape[0]
-    det = 1.0
-    for col in range(n):
-        pivot = col + int(np.argmax(np.abs(arr[col:, col])))
-        if arr[pivot, col] == 0.0:
-            return 0.0
-        if pivot != col:
-            arr[[col, pivot]] = arr[[pivot, col]]
-            det = -det
-        det *= arr[col, col]
-        for row in range(col + 1, n):
-            arr[row, col:] -= (arr[row, col] / arr[col, col]) * arr[col, col:]
-    return float(det)
 
 
 def max_coefficient_difference(a: GrassmannElement, b: GrassmannElement) -> float:

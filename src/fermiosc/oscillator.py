@@ -120,7 +120,7 @@ def thermal_observables(beta: float, omega: float) -> ThermalPoint:
         raise ValueError("observables need beta > 0")
     boltzmann = math.exp(-beta * omega)
     z_minus = 1.0 + boltzmann
-    z_plus = 1.0 - boltzmann
+    z_plus = -math.expm1(-beta * omega) + 0.0  # + 0.0: never -0.0
     free_energy = -math.log(z_minus) / beta
     mean_energy = omega * boltzmann / z_minus
     entropy = beta * (mean_energy - free_energy)

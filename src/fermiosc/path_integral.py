@@ -8,7 +8,9 @@ The closure is the coherent-state trace int dc* dc e^{-c* c} K(c*, -+c)
 function 1 + e^{-beta*omega}, periodic the graded partition function
 1 - e^{-beta*omega}.  The same numbers come out of the determinant of the
 discrete action's quadratic form, which doubles as an independent route
-for cross-validation.
+for cross-validation; that matrix is unit lower-bidiagonal plus one corner,
+so the determinant is 1 +- lambda^N in closed form (Blankenbecler,
+Scalapino & Sugar, PRD 24, 2278 (1981)).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .grassmann import (
     GrassmannElement,
     add,
     coefficient,
-    determinant,
     gaussian_integral_expand,
     integrate_pair,
     monomial,
@@ -190,10 +191,9 @@ def close_boundary(kernel: PropagatorKernel, bc: BoundaryCondition) -> float:
 
 def closed_form_partition(beta: float, omega: float, bc: BoundaryCondition) -> float:
     """1 + e^{-beta*omega} (antiperiodic) or 1 - e^{-beta*omega} (periodic)."""
-    boltzmann = math.exp(-beta * omega)
     if bc is BoundaryCondition.ANTIPERIODIC:
-        return 1.0 + boltzmann
-    return 1.0 - boltzmann
+        return 1.0 + math.exp(-beta * omega)
+    return -math.expm1(-beta * omega) + 0.0  # + 0.0: never -0.0
 
 
 def action_matrix(chain: DiscretizedChain, bc: BoundaryCondition) -> np.ndarray:
@@ -202,36 +202,52 @@ def action_matrix(chain: DiscretizedChain, bc: BoundaryCondition) -> np.ndarray:
     Unit diagonal, -lambda on the subdiagonal, and a +lambda (antiperiodic)
     or -lambda (periodic) corner; its determinant is 1 +- lambda^N.
     """
-    n = chain.n_steps
     lam = chain.step_coefficient
-    m = np.eye(n)
-    for k in range(1, n):
-        m[k, k - 1] = -lam
-    corner = lam if bc is BoundaryCondition.ANTIPERIODIC else -lam
-    m[0, n - 1] += corner
+    m = np.eye(chain.n_steps) - lam * np.eye(chain.n_steps, k=-1)
+    m[0, -1] += lam if bc is BoundaryCondition.ANTIPERIODIC else -lam
     return m
 
 
-def partition_via_determinant(chain: DiscretizedChain, bc: BoundaryCondition) -> float:
-    """Partition value as the determinant of the action matrix.
+def _one_plus(chain: DiscretizedChain, sign: float) -> float:
+    """1 + sign * lambda^N, to full relative accuracy in x = epsilon*omega.
 
-    A determinant that overflows is raised as ArithmeticError.  For chains
-    small enough to expand symbolically, the Gaussian-integral expansion
-    of the same matrix is computed as well and must agree to 1e-10
-    relative (absolute below magnitude 1); a mismatch means the algebra
-    engine and the numeric route have diverged and is raised as an error.
+    A sum that is a difference is -expm1(N log|lambda|), which does not
+    cancel.  A first-order lambda that holds 1 - x exactly is powered
+    directly, so dyadic values stay exact, unless the sum would cancel.
     """
-    m = action_matrix(chain, bc)
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = determinant(m)
+    n, x, lam = chain.n_steps, chain.epsilon * chain.omega, chain.step_coefficient
+    if chain.scheme is SliceScheme.EXACT:
+        log_abs = -x
+    else:
+        term = sign * lam**n
+        if 1.0 - lam == x and not -2.0 < term < -0.5:
+            return 1.0 + term
+        log_abs = math.log1p(-x) if x < 1.0 else math.log(x - 1.0)
+    if (lam < 0.0 and n % 2 == 1) == (sign > 0.0):
+        return -math.expm1(n * log_abs) + 0.0  # + 0.0: never -0.0
+    return 1.0 + math.exp(n * log_abs)
+
+
+def partition_via_determinant(chain: DiscretizedChain, bc: BoundaryCondition) -> float:
+    """Partition value as the determinant 1 +- lambda^N of the action matrix.
+
+    Overflow raises ArithmeticError, and so does, for N <= GAUSSIAN_CAP, a
+    Gaussian-integral expansion of the dense matrix that differs from the
+    closed form by more than 1e-10 relative (absolute below magnitude 1).
+    """
+    try:
+        det = _one_plus(chain, 1.0 if bc is BoundaryCondition.ANTIPERIODIC else -1.0)
+    except OverflowError:  # float ** int and math.exp raise where they would give inf
+        det = math.inf
     if not math.isfinite(det):
         raise ArithmeticError(
-            f"determinant of the N={chain.n_steps} action matrix is not finite: {det!r}"
+            f"determinant of the N={chain.n_steps} action matrix is not finite"
         )
     if chain.n_steps <= GAUSSIAN_CAP:
-        symbolic = gaussian_integral_expand(m)
+        symbolic = gaussian_integral_expand(action_matrix(chain, bc))
         if abs(symbolic - det) > 1e-10 * max(1.0, abs(det)):
             raise ArithmeticError(
+                "cross-check failure: "
                 f"Gaussian expansion {symbolic!r} disagrees with determinant {det!r}"
             )
     return det

@@ -21,7 +21,6 @@ from .grassmann import (
     GrassmannElement,
     add,
     berezin_integrate,
-    determinant,
     gaussian_integral_expand,
     left_derivative,
     max_coefficient_difference,
@@ -44,6 +43,7 @@ from .path_integral import (
     action_matrix,
     close_boundary,
     contract_chain,
+    convergence_sweep,
     kernel_paper_form,
     partition_via_determinant,
 )
@@ -151,7 +151,7 @@ def _integration_vs_derivative(draw: int) -> float:
 
 
 def _integral_vs_det(m) -> float:
-    return abs(gaussian_integral_expand(m) - determinant(m))
+    return abs(gaussian_integral_expand(m) - float(np.linalg.det(m)))
 
 
 def _random_matrix(draw: int) -> List[List[float]]:
@@ -229,6 +229,13 @@ def _interior_contraction(point) -> float:
     )
 
 
+def _halving_defect(bc: BoundaryCondition) -> float:
+    """First-order errors at N = 32, 64, 128: how far each ratio is from 2."""
+    points = convergence_sweep(1.0, 1.0, [32, 64, 128], SliceScheme.FIRST_ORDER, bc)
+    errors = [point.abs_error for point in points]
+    return max(abs(a / b - 2.0) for a, b in zip(errors, errors[1:]))
+
+
 _AP, _P = BoundaryCondition.ANTIPERIODIC, BoundaryCondition.PERIODIC
 _ACTION_POINTS = ((0.0, 1.0), (1e-9, 1.0), (0.5, 2.0), (1.0, 1.0), (2.0, 2.0))
 _ACTION_GRID = tuple(
@@ -287,6 +294,8 @@ INVARIANTS = (
               0.0, _interior_contraction),
     Invariant("action-matrix-routes", "|integral - det| over action matrices", _ACTION_GRID,
               1e-10, lambda p: _integral_vs_det(action_matrix(DiscretizedChain(*p[:4]), p[4]))),
+    Invariant("step-count-convergence", "|error ratio - 2| per doubling", (_AP, _P), 0.2,
+              _halving_defect),
 )
 
 

@@ -183,6 +183,25 @@ def test_overflowing_determinant_exits_1_without_rows(capsys):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and "not finite" in err
+    assert "cross-check" not in err
+
+
+def test_cross_check_failure_names_both_values(capsys, monkeypatch):
+    monkeypatch.setattr("fermiosc.path_integral.gaussian_integral_expand", lambda m: 1.0)
+    argv = "determinant --beta 1 --omega 1 --steps 4 --scheme first-order --bc antiperiodic"
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == (
+        "cross-check failure: Gaussian expansion 1.0 disagrees with determinant 1.31640625\n"
+    )
+
+
+def test_determinant_keeps_digits_at_tiny_beta(capsys):
+    code, out = run_cli(capsys, "determinant", "--beta", "1e-12", "--omega", "1", "--steps", "8")
+    want = -math.expm1(-1e-12)
+    assert code == 0
+    assert abs(json_rows(out)[1]["z_value"] - want) <= 1e-15 * want
 
 
 def test_emit_refuses_non_finite_values():
@@ -204,6 +223,7 @@ def test_overflowing_chain_exits_1_without_rows(capsys):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and "non-finite" in err
+    assert "cross-check" not in err
 
 
 def test_chain_past_64_steps_prints_rows(capsys):

@@ -9,7 +9,6 @@ from fermiosc.grassmann import (
     add,
     berezin_integrate,
     coefficient,
-    determinant,
     exp_nilpotent,
     gaussian_integral_expand,
     integrate_pair,
@@ -208,27 +207,6 @@ class TestGaussianIntegral:
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             gaussian_integral_expand(np.eye(9))
-
-
-class TestDeterminant:
-    def test_identity(self):
-        assert determinant(np.eye(3)) == 1.0
-
-    def test_diagonal(self):
-        assert determinant([[2.0, 0.0], [0.0, 3.0]]) == 6.0
-
-    def test_rotation_block(self):
-        assert determinant([[0.0, 1.0], [-1.0, 0.0]]) == 1.0
-
-    def test_singular(self):
-        assert determinant([[1.0, 1.0], [1.0, 1.0]]) == 0.0
-
-    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_numpy(self, n, seed):
-        m = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(n, n))
-        ref = float(np.linalg.det(m))
-        assert determinant(m) == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
 class TestTraceFunctional:

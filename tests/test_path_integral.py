@@ -1,12 +1,14 @@
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermiosc.grassmann import add, exp_nilpotent, monomial, mul, one
-from fermiosc.oscillator import exact_kernel_coefficient
+from fermiosc import path_integral
+from fermiosc.grassmann import GAUSSIAN_CAP, add, exp_nilpotent, monomial, mul, one
+from fermiosc.oscillator import exact_kernel_coefficient, thermal_observables
 from fermiosc.path_integral import (
     BoundaryCondition,
     DiscretizedChain,
@@ -20,7 +22,6 @@ from fermiosc.path_integral import (
     kernel_paper_form,
     partition_via_determinant,
 )
-from fermiosc.selftest import Invariant
 
 AP = BoundaryCondition.ANTIPERIODIC
 P = BoundaryCondition.PERIODIC
@@ -177,9 +178,7 @@ class TestActionMatrix:
 
     def test_first_order_closed_form(self):
         chain = DiscretizedChain(2, 1.0, 1.0, SliceScheme.FIRST_ORDER)
-        from fermiosc.grassmann import determinant
-
-        assert determinant(action_matrix(chain, AP)) == pytest.approx(1.25, abs=1e-15)
+        assert np.linalg.det(action_matrix(chain, AP)) == pytest.approx(1.25, abs=1e-15)
 
     @pytest.mark.parametrize("n_steps", [1, 3, 16])
     def test_exact_scheme_determinant(self, n_steps):
@@ -196,25 +195,80 @@ class TestActionMatrix:
         assert partition_via_determinant(chain, P) == 0.68359375
 
 
+def _rel_error(z, want):
+    return abs(Fraction(z) - want) / abs(want)
+
+
+class TestDeterminantRoute:
+    """partition_via_determinant evaluates 1 +- lambda^N without a dense matrix."""
+
+    @pytest.mark.parametrize("n_steps", [1, 8, 9, 64, 2048, 10**6])
+    def test_exact_scheme_matches_closed_form(self, n_steps):
+        for beta_omega in np.geomspace(1e-12, 700.0, 15):
+            chain = DiscretizedChain(n_steps, float(beta_omega), 1.0)
+            boltzmann = Fraction(math.exp(-beta_omega))
+            assert _rel_error(partition_via_determinant(chain, AP), 1 + boltzmann) <= 1e-15
+            assert _rel_error(
+                partition_via_determinant(chain, P), Fraction(-math.expm1(-beta_omega))
+            ) <= 1e-15
+
+    # in the last point x = beta/2048 is a tie of 1 - x, so lambda holds 1 - x
+    # only to half an ulp, which powering 2048 times would carry past 1e-13
+    @pytest.mark.parametrize(
+        "n_steps,beta_omega",
+        [(n, bw) for n in (1, 2, 7, 9, 64, 2048) for bw in (1e-12, 1e-6, 0.3, 1, 5, 30, 700)]
+        + [(2048, 2048 * (round(3.39e-4 * 2.0**53) + 0.5) / 2.0**53)],
+    )
+    def test_first_order_matches_exact_power(self, n_steps, beta_omega):
+        chain = DiscretizedChain(n_steps, beta_omega, 1.0, SliceScheme.FIRST_ORDER)
+        lam_n = (1 - Fraction(chain.epsilon * chain.omega)) ** n_steps
+        assert _rel_error(partition_via_determinant(chain, AP), 1 + lam_n) <= 1e-13
+        assert _rel_error(partition_via_determinant(chain, P), 1 - lam_n) <= 1e-13
+
+    @given(
+        st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
+        st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
+        st.integers(min_value=1, max_value=64),
+        st.sampled_from(list(SliceScheme)),
+        st.sampled_from(list(BoundaryCondition)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_determinant(self, beta, omega, n_steps, scheme, bc):
+        chain = DiscretizedChain(n_steps, beta, omega, scheme)
+        z = partition_via_determinant(chain, bc)
+        dense = np.linalg.det(action_matrix(chain, bc))
+        assert abs(dense - z) <= 1e-11 * max(1.0, abs(z))
+
+    def test_exact_zero_is_positive(self):
+        # lambda = -1: lambda^N = +1 for even N, -1 for odd N
+        for n_steps, bc in ((4, P), (3, AP)):
+            chain = DiscretizedChain(n_steps, 2.0 * n_steps, 1.0, SliceScheme.FIRST_ORDER)
+            assert repr(partition_via_determinant(chain, bc)) == "0.0"
+        assert repr(partition_via_determinant(DiscretizedChain(10, 0.0, 1.0), P)) == "0.0"
+
+    def test_dense_matrix_only_for_the_cross_check(self, monkeypatch):
+        def refuse(chain, bc):
+            raise AssertionError("dense action matrix built")
+
+        monkeypatch.setattr(path_integral, "action_matrix", refuse)
+        chain = DiscretizedChain(GAUSSIAN_CAP + 1, 1.0, 1.0)
+        assert partition_via_determinant(chain, AP) == pytest.approx(1.0 + math.exp(-1.0))
+        with pytest.raises(AssertionError, match="dense"):
+            partition_via_determinant(DiscretizedChain(GAUSSIAN_CAP, 1.0, 1.0), AP)
+
+
+@pytest.mark.parametrize("beta_omega", [1e-12, 1e-6])
+def test_periodic_closed_form_keeps_digits(beta_omega):
+    want = Fraction(-math.expm1(-beta_omega))
+    assert _rel_error(closed_form_partition(beta_omega, 1.0, P), want) <= 1e-15
+    assert _rel_error(thermal_observables(beta_omega, 1.0).z_plus, want) <= 1e-15
+
+
 class TestConvergenceSweep:
     def test_exact_scheme_errors_vanish(self):
         for bc in (AP, P):
             points = convergence_sweep(1.0, 1.0, list(range(1, 65)), SliceScheme.EXACT, bc)
             assert max(p.abs_error for p in points) <= 1e-12
-
-    def test_first_order_halves_error_per_doubling(self):
-        # O(N^3) determinants up to N = 128 keep this out of the selftest catalogue
-        def ratio_defect(bc):
-            points = convergence_sweep(1.0, 1.0, [32, 64, 128], SliceScheme.FIRST_ORDER, bc)
-            errors = [p.abs_error for p in points]
-            return max(abs(a / b - 2.0) for a, b in zip(errors, errors[1:]))
-
-        result = Invariant(
-            "step-count-convergence", "|error ratio - 2| per doubling", (AP, P), 0.2,
-            ratio_defect,
-        ).check()
-        print(result.verdict())
-        assert result.passed, result.detail
 
     def test_zero_beta_is_flat(self):
         points = convergence_sweep(0.0, 1.0, [1, 2, 4, 8], SliceScheme.EXACT, AP)
