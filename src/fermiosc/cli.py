@@ -14,17 +14,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .oscillator import density_matrix, partition_trace, supertrace, thermal_observables
+from .oscillator import density_matrix, partition_trace, supertrace
 from .path_integral import (
     BoundaryCondition,
     DiscretizedChain,
     SliceScheme,
     close_boundary,
     contract_chain,
-    convergence_sweep,
     partition_via_determinant,
 )
 from .selftest import run_selftest
@@ -33,21 +31,9 @@ _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one command plus the knobs it consumes."""
+class ResultRow(NamedTuple):
+    """One output row; the field order is the JSON key order and the CSV header."""
 
-    command: str
-    beta: Tuple[float, ...] = ()
-    omega: float = 1.0
-    steps: Tuple[int, ...] = (16,)
-    scheme: SliceScheme = SliceScheme.EXACT
-    bc: str = "both"
-    format: str = "json"
-
-
-@dataclass(frozen=True)
-class ResultRow:
     route: str
     beta: float
     omega: float
@@ -57,48 +43,34 @@ class ResultRow:
     reference_z: float
     abs_error: float
 
-    def as_dict(self) -> dict:
-        out = {"route": self.route, "beta": self.beta, "omega": self.omega}
-        if self.n_steps is not None:
-            out["n_steps"] = self.n_steps
-        out["bc"] = self.bc
-        out["z_value"] = self.z_value
-        out["reference_z"] = self.reference_z
-        out["abs_error"] = self.abs_error
-        return out
 
-
-def _float17(value: float) -> str:
+def _cell(value) -> str:
+    """CSV text of one field: floats as %.17g, which round-trips every double."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return "%d" % value
     if not math.isfinite(value):
         raise ValueError("non-finite value %r" % value)
     return "%.17g" % value
 
 
 def emit(rows: Sequence[ResultRow], format: str) -> str:
-    """Render rows as JSON lines or CSV with lossless float formatting."""
+    """Render rows as JSON lines or CSV with lossless float formatting.
+
+    A field that is None (the oracle route's n_steps) is left out of the
+    JSON object and empty in CSV; a non-finite value raises ValueError.
+    """
     if not rows:
         raise ValueError("no rows to emit")
-    lines = []
     if format == "json":
-        for row in rows:
-            lines.append(json.dumps(row.as_dict(), allow_nan=False))
+        lines = [json.dumps({k: v for k, v in row._asdict().items() if v is not None},
+                            allow_nan=False) for row in rows]
     elif format == "csv":
-        lines.append("route,beta,omega,n_steps,bc,z_value,reference_z,abs_error")
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        row.route,
-                        _float17(row.beta),
-                        _float17(row.omega),
-                        "" if row.n_steps is None else "%d" % row.n_steps,
-                        row.bc,
-                        _float17(row.z_value),
-                        _float17(row.reference_z),
-                        _float17(row.abs_error),
-                    ]
-                )
-            )
+        lines = [",".join(ResultRow._fields)]
+        lines += [",".join(map(_cell, row)) for row in rows]
     else:
         raise ValueError("unknown format: %r" % format)
     return "\n".join(lines) + "\n"
@@ -117,131 +89,62 @@ def _oracle_partition(beta: float, omega: float, bc: BoundaryCondition) -> float
     return supertrace(rho)
 
 
-def _make_row(
-    route: str,
-    beta: float,
-    omega: float,
-    n_steps: Optional[int],
-    bc: BoundaryCondition,
-    z_value: float,
-) -> ResultRow:
+def _row(route: str, beta: float, omega: float, n_steps: Optional[int],
+         bc: BoundaryCondition, z_value: float) -> ResultRow:
     reference = _oracle_partition(beta, omega, bc)
     return ResultRow(
-        route=route,
-        beta=beta,
-        omega=omega,
-        n_steps=n_steps,
-        bc=bc.value,
-        z_value=z_value,
-        reference_z=reference,
-        abs_error=abs(z_value - reference),
+        route, beta, omega, n_steps, bc.value, z_value, reference, abs(z_value - reference)
     )
 
 
-def run_exact(config: RunConfig) -> List[ResultRow]:
-    rows = []
-    for beta in config.beta:
-        if beta > 0.0:
-            # also exercises the observable layer's own validation
-            thermal_observables(beta, config.omega)
-        for bc in _boundary_conditions(config.bc):
-            z = _oracle_partition(beta, config.omega, bc)
-            rows.append(_make_row("exact", beta, config.omega, None, bc, z))
-    return rows
+def run_exact(args: argparse.Namespace) -> List[ResultRow]:
+    return [
+        _row("exact", beta, args.omega, None, bc, _oracle_partition(beta, args.omega, bc))
+        for beta in args.beta
+        for bc in _boundary_conditions(args.bc)
+    ]
 
 
-def run_chain(config: RunConfig) -> List[ResultRow]:
+def run_chain(args: argparse.Namespace) -> List[ResultRow]:
     rows = []
-    for beta in config.beta:
-        chain = DiscretizedChain(config.steps[0], beta, config.omega, config.scheme)
+    for beta in args.beta:
+        chain = DiscretizedChain(args.steps[0], beta, args.omega, SliceScheme(args.scheme))
         kernel = contract_chain(chain)
-        for bc in _boundary_conditions(config.bc):
+        for bc in _boundary_conditions(args.bc):
             z = close_boundary(kernel, bc)
-            rows.append(_make_row("chain", beta, config.omega, chain.n_steps, bc, z))
+            rows.append(_row("chain", beta, args.omega, chain.n_steps, bc, z))
     return rows
 
 
-def run_determinant(config: RunConfig) -> List[ResultRow]:
+def _determinant_rows(route: str, args: argparse.Namespace) -> List[ResultRow]:
+    """Determinant-route rows in the order beta, then boundary condition, then N."""
     rows = []
-    for beta in config.beta:
-        chain = DiscretizedChain(config.steps[0], beta, config.omega, config.scheme)
-        for bc in _boundary_conditions(config.bc):
-            z = partition_via_determinant(chain, bc)
-            rows.append(
-                _make_row("determinant", beta, config.omega, chain.n_steps, bc, z)
-            )
+    for beta in args.beta:
+        for bc in _boundary_conditions(args.bc):
+            for n in args.steps:
+                chain = DiscretizedChain(n, beta, args.omega, SliceScheme(args.scheme))
+                z = partition_via_determinant(chain, bc)
+                rows.append(_row(route, beta, args.omega, n, bc, z))
     return rows
 
 
-def run_sweep(config: RunConfig) -> List[ResultRow]:
-    rows = []
-    for beta in config.beta:
-        for bc in _boundary_conditions(config.bc):
-            points = convergence_sweep(
-                beta, config.omega, config.steps, config.scheme, bc
-            )
-            for point in points:
-                rows.append(
-                    _make_row(
-                        "sweep", beta, config.omega, point.n_steps, bc, point.z_value
-                    )
-                )
-    return rows
+def run_determinant(args: argparse.Namespace) -> List[ResultRow]:
+    return _determinant_rows("determinant", args)
 
 
-def run_selftest_command(config: RunConfig) -> int:
+def run_sweep(args: argparse.Namespace) -> List[ResultRow]:
+    if any(b <= a for a, b in zip(args.steps, args.steps[1:])):
+        raise ValueError("n_list must be strictly ascending")
+    return _determinant_rows("sweep", args)
+
+
+def run_selftest_command(args: argparse.Namespace) -> int:
     results = run_selftest()
     failed = sum(not result.passed for result in results)
     lines = [result.verdict() for result in results]
-    lines.append(
-        "selftest: %d passed, %d failed" % (len(results) - failed, failed)
-    )
+    lines.append("selftest: %d passed, %d failed" % (len(results) - failed, failed))
     sys.stdout.write("\n".join(lines) + "\n")
     return _EXIT_CHECK_FAILED if failed else _EXIT_OK
-
-
-def _add_physics_arguments(
-    sub: argparse.ArgumentParser, multi_beta: bool = False
-) -> None:
-    sub.add_argument(
-        "--beta",
-        type=float,
-        nargs="+" if multi_beta else 1,
-        required=True,
-        help="inverse temperature (one value%s)" % (" or more" if multi_beta else ""),
-    )
-    sub.add_argument("--omega", type=float, required=True, help="mode frequency")
-
-
-def _add_route_arguments(sub: argparse.ArgumentParser, multi_steps: bool) -> None:
-    sub.add_argument(
-        "--steps",
-        type=int,
-        nargs="+" if multi_steps else 1,
-        default=[16],
-        help="number of imaginary-time slices (default 16)",
-    )
-    sub.add_argument(
-        "--scheme",
-        choices=[s.value for s in SliceScheme],
-        default=SliceScheme.EXACT.value,
-        help="per-slice weight (default exact)",
-    )
-
-
-def _add_output_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--bc",
-        choices=["antiperiodic", "periodic", "both"],
-        default="both",
-        help="boundary condition rows to emit (default both)",
-    )
-    sub.add_argument(
-        "--format",
-        choices=["json", "csv"],
-        default="json",
-        help="output table format (default json)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,55 +154,33 @@ def build_parser() -> argparse.ArgumentParser:
         "by oracle, symbolic chain contraction, or action determinant.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    exact = commands.add_parser("exact", help="two-level oracle values")
-    _add_physics_arguments(exact)
-    _add_output_arguments(exact)
-    exact.add_argument(
-        "--allow-beta-zero",
-        action="store_true",
+    for name, summary in (
+        ("exact", "two-level oracle values"),
+        ("chain", "symbolic chain contraction"),
+        ("determinant", "discrete-action determinant"),
+        ("sweep", "error table over step counts"),
+    ):
+        many = name == "sweep"  # only sweep takes lists of beta and N
+        sub = commands.add_parser(name, help=summary)
+        sub.add_argument("--beta", type=float, nargs="+" if many else 1, required=True,
+                         help="inverse temperature (one value%s)" % (" or more" if many else ""))
+        sub.add_argument("--omega", type=float, required=True, help="mode frequency")
+        if name != "exact":
+            sub.add_argument("--steps", type=int, nargs="+" if many else 1, default=[16],
+                             help="number of imaginary-time slices (default 16)")
+            sub.add_argument("--scheme", choices=[s.value for s in SliceScheme],
+                             default=SliceScheme.EXACT.value,
+                             help="per-slice weight (default %(default)s)")
+        sub.add_argument("--bc", choices=["antiperiodic", "periodic", "both"], default="both",
+                         help="boundary condition rows to emit (default %(default)s)")
+        sub.add_argument("--format", choices=["json", "csv"], default="json",
+                         help="output table format (default %(default)s)")
+    commands.choices["exact"].add_argument(
+        "--allow-beta-zero", action="store_true",
         help="permit beta = 0 (partition values only, no observables)",
     )
-
-    chain = commands.add_parser("chain", help="symbolic chain contraction")
-    _add_physics_arguments(chain)
-    _add_route_arguments(chain, multi_steps=False)
-    _add_output_arguments(chain)
-
-    det = commands.add_parser("determinant", help="discrete-action determinant")
-    _add_physics_arguments(det)
-    _add_route_arguments(det, multi_steps=False)
-    _add_output_arguments(det)
-
-    sweep = commands.add_parser("sweep", help="error table over step counts")
-    _add_physics_arguments(sweep, multi_beta=True)
-    _add_route_arguments(sweep, multi_steps=True)
-    _add_output_arguments(sweep)
-
     commands.add_parser("selftest", help="run the invariant checks")
     return parser
-
-
-def _config_from_args(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> RunConfig:
-    betas = tuple(getattr(args, "beta", []) or ())
-    # the library refuses every other invalid point with ValueError
-    if 0.0 in betas and not getattr(args, "allow_beta_zero", False):
-        parser.error(
-            "beta must be > 0 for observables; use --allow-beta-zero for Z only"
-            if args.command == "exact"
-            else "beta must be > 0"
-        )
-    return RunConfig(
-        command=args.command,
-        beta=betas,
-        omega=getattr(args, "omega", 1.0),
-        steps=tuple(getattr(args, "steps", [16])),
-        scheme=SliceScheme(getattr(args, "scheme", SliceScheme.EXACT.value)),
-        bc=getattr(args, "bc", "both"),
-        format=getattr(args, "format", "json"),
-    )
 
 
 _RUNNERS = {
@@ -313,17 +194,23 @@ _RUNNERS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args, parser)
-    if config.command == "selftest":
-        return run_selftest_command(config)
+    if args.command == "selftest":
+        return run_selftest_command(args)
+    # the library refuses every other invalid point with ValueError
+    if 0.0 in args.beta and not (args.command == "exact" and args.allow_beta_zero):
+        parser.error(
+            "beta must be > 0 for observables; use --allow-beta-zero for Z only"
+            if args.command == "exact"
+            else "beta must be > 0"
+        )
     try:
-        rows = _RUNNERS[config.command](config)
+        rows = _RUNNERS[args.command](args)
     except ValueError as exc:
         parser.error(str(exc))
     except ArithmeticError as exc:  # the message names the failed check or overflow
         sys.stderr.write("%s\n" % exc)
         return _EXIT_CHECK_FAILED
-    sys.stdout.write(emit(rows, config.format))
+    sys.stdout.write(emit(rows, args.format))
     return _EXIT_OK
 
 

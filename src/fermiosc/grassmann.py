@@ -4,7 +4,9 @@ Elements are sparse real-linear combinations of monomials in named
 anticommuting generators.  Monomials are stored as bitmasks over the
 registry's canonical generator order; every sign is derived from the
 transposition count against that order, so there is one global sign
-convention and no sign drift between operations.  The pair measure is
+convention and no sign drift between operations.  Only coefficients that
+are exactly zero are pruned, so no small term is lost, and a NaN or
+infinite coefficient raises ArithmeticError.  The pair measure is
 dc* dc, innermost first, so the pair integral of e^{-c* c} = 1 - c* c is 1;
 the coherent-state trace built on it lives in
 ``fermiosc.path_integral.close_boundary``.  Numeric determinants come
@@ -23,7 +25,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 __all__ = [
-    "DROP_TOLERANCE",
     "GAUSSIAN_CAP",
     "GeneratorRegistry",
     "GrassmannElement",
@@ -43,10 +44,6 @@ __all__ = [
     "gaussian_integral_expand",
     "max_coefficient_difference",
 ]
-
-# Coefficients below this absolute magnitude are pruned on construction;
-# prevents unbounded accumulation of float dust in long products.
-DROP_TOLERANCE = 1e-15
 
 # Largest quadratic-form dimension the symbolic Gaussian integral accepts
 # (n pairs -> 2n generators -> up to 2^(2n) candidate monomials).
@@ -85,10 +82,6 @@ class GeneratorRegistry:
         except ValueError:
             raise ValueError(f"unknown generator label {label!r}") from None
 
-    def conjugate(self, g: int) -> int | None:
-        """Index of the registered conjugate of generator ``g``, if any."""
-        return self.pairing.get(g)
-
     def is_pair(self, a: int, b: int) -> bool:
         return self.pairing.get(a) == b
 
@@ -123,10 +116,10 @@ def register_generators(
 class GrassmannElement:
     """Sparse element of the algebra: bitmask monomial -> real coefficient.
 
-    Stored masks always encode strictly increasing index sets and carry no
-    coefficient smaller than ``DROP_TOLERANCE`` in magnitude.  Build
-    instances through :func:`monomial`, :func:`zero`, :func:`one` or the
-    arithmetic operations, never by mutating ``terms``.
+    Stored masks always encode strictly increasing index sets, and every
+    stored coefficient is finite and nonzero.  Build instances through
+    :func:`monomial`, :func:`zero`, :func:`one` or the module's functions,
+    never by mutating ``terms``.
     """
 
     registry: GeneratorRegistry
@@ -147,23 +140,6 @@ class GrassmannElement:
         """Coefficient of the empty monomial."""
         return self.terms.get(0, 0.0)
 
-    def __add__(self, other: GrassmannElement) -> GrassmannElement:
-        return add(self, other)
-
-    def __sub__(self, other: GrassmannElement) -> GrassmannElement:
-        return add(self, scale(other, -1.0))
-
-    def __neg__(self) -> GrassmannElement:
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, GrassmannElement):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other) -> GrassmannElement:
-        return scale(self, float(other))
-
     def __repr__(self) -> str:
         if self.is_zero:
             return "<0>"
@@ -178,14 +154,15 @@ class GrassmannElement:
 
 
 def _build(registry: GeneratorRegistry, terms: dict[int, float]) -> GrassmannElement:
-    pruned = {}
+    """Drop exact zeros only, so no small coefficient is lost; refuse NaN and inf."""
+    kept = {}
     for mask, coeff in terms.items():
         size = abs(coeff)
-        if DROP_TOLERANCE <= size < math.inf:
-            pruned[mask] = coeff
-        elif not size < DROP_TOLERANCE:  # inf or NaN
+        if 0.0 < size < math.inf:
+            kept[mask] = coeff
+        elif size:  # inf or NaN
             raise ArithmeticError(f"non-finite coefficient {coeff!r}")
-    return GrassmannElement(registry, pruned)
+    return GrassmannElement(registry, kept)
 
 
 def _same_registry(a: GrassmannElement, b: GrassmannElement) -> None:
@@ -368,13 +345,13 @@ def exp_nilpotent(a: GrassmannElement) -> GrassmannElement:
         result = add(result, power)
 
 
-def gaussian_integral_expand(m, cap: int = GAUSSIAN_CAP) -> float:
+def gaussian_integral_expand(m) -> float:
     """Grassmann Gaussian integral of exp(-sum_ij ci* M_ij cj), fully expanded.
 
     Builds the nilpotent exponential over a fresh 2n-generator registry and
     integrates every conjugate pair, highest pair index first; the surviving
     scalar equals det M.  Intended as the symbolic side of the
-    determinant identity, so n is capped (default 8).
+    determinant identity, so n is capped at ``GAUSSIAN_CAP``.
     """
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
@@ -382,8 +359,8 @@ def gaussian_integral_expand(m, cap: int = GAUSSIAN_CAP) -> float:
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
     n = arr.shape[0]
-    if n > cap:
-        raise ValueError(f"dimension {n} exceeds the symbolic expansion cap {cap}")
+    if n > GAUSSIAN_CAP:
+        raise ValueError(f"dimension {n} exceeds the symbolic expansion cap {GAUSSIAN_CAP}")
     labels: list[str] = []
     pairs: list[tuple[str, str]] = []
     for j in range(1, n + 1):

@@ -19,7 +19,6 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,8 +48,6 @@ __all__ = [
     "closed_form_partition",
     "action_matrix",
     "partition_via_determinant",
-    "convergence_sweep",
-    "SweepPoint",
 ]
 
 logger = logging.getLogger(__name__)
@@ -251,30 +248,3 @@ def partition_via_determinant(chain: DiscretizedChain, bc: BoundaryCondition) ->
                 f"Gaussian expansion {symbolic!r} disagrees with determinant {det!r}"
             )
     return det
-
-
-class SweepPoint(NamedTuple):
-    n_steps: int
-    z_value: float
-    abs_error: float
-
-
-def convergence_sweep(
-    beta: float,
-    omega: float,
-    n_list: Sequence[int],
-    scheme: SliceScheme,
-    bc: BoundaryCondition,
-) -> list[SweepPoint]:
-    """Determinant-route partition values against the closed form, per N."""
-    if not n_list:
-        raise ValueError("n_list must be nonempty")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly ascending")
-    reference = closed_form_partition(beta, omega, bc)
-    points = []
-    for n in n_list:
-        chain = DiscretizedChain(n_steps=n, beta=beta, omega=omega, scheme=scheme)
-        z = partition_via_determinant(chain, bc)
-        points.append(SweepPoint(n, z, abs(z - reference)))
-    return points

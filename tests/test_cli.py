@@ -112,11 +112,14 @@ def test_sweep_errors_shrink_monotonically(capsys):
 
 
 def test_exact_scheme_rows_hit_reference(capsys):
-    for command in ("chain", "determinant"):
-        _, out = run_cli(
-            capsys, command, "--beta", "0.7", "--omega", "1.3", "--steps", "9"
-        )
-        assert all(r["abs_error"] <= 1e-12 for r in json_rows(out))
+    # at beta*omega = 35.5 the chain's coefficient e^-35.5 must not be dropped
+    for point in ("--beta 0.7 --omega 1.3 --steps 9", "--beta 35.5 --omega 1 --steps 8"):
+        z_values = []
+        for command in ("chain", "determinant"):
+            rows = json_rows(run_cli(capsys, command, *point.split())[1])
+            assert all(r["abs_error"] <= 1e-12 for r in rows)
+            z_values.append([r["z_value"] for r in rows])
+        assert z_values[0] == z_values[1]
 
 
 def test_output_is_deterministic(capsys):
@@ -157,6 +160,8 @@ def test_chain_rejects_beta_zero_even_with_flag_elsewhere(capsys):
         "sweep --beta 1 -1 --omega 1",
         "chain --beta 1 --omega 0",
         "chain --beta 1 --omega 1 --steps 0",
+        "sweep --beta 1 --omega 1 --steps 4 2",
+        "sweep --beta 1 --omega 1 --steps 2 2",
     ],
 )
 def test_invalid_point_exits_2_with_empty_stdout(capsys, argv):
@@ -235,8 +240,9 @@ def test_chain_past_64_steps_prints_rows(capsys):
     )
 
 
-# stdout of earlier releases, byte for byte: a change of convention must not move it
-GOLDEN_CHAIN = {
+# stdout of earlier releases, byte for byte: a change of convention or of the
+# row pipeline must not move it
+GOLDEN = {
     "chain --beta 1e-4 --omega 0.5 --steps 1 --scheme exact":
         '{"route": "chain", "beta": 0.0001, "omega": 0.5, "n_steps": 1, "bc": "antiperiodic", '
         '"z_value": 1.9999500012499791, "reference_z": 1.9999500012499791, "abs_error": 0.0}\n'
@@ -257,12 +263,53 @@ GOLDEN_CHAIN = {
         "route,beta,omega,n_steps,bc,z_value,reference_z,abs_error\n"
         "chain,30,1,64,antiperiodic,1.0000000000000935,1.0000000000000935,0\n"
         "chain,30,1,64,periodic,0.99999999999990641,0.99999999999990641,0\n",
+    "exact --beta 2 --omega 0.5":
+        '{"route": "exact", "beta": 2.0, "omega": 0.5, "bc": "antiperiodic", '
+        '"z_value": 1.3678794411714423, "reference_z": 1.3678794411714423, "abs_error": 0.0}\n'
+        '{"route": "exact", "beta": 2.0, "omega": 0.5, "bc": "periodic", '
+        '"z_value": 0.6321205588285577, "reference_z": 0.6321205588285577, "abs_error": 0.0}\n',
+    "exact --beta 1e-6 --omega 2 --bc periodic --format csv":
+        "route,beta,omega,n_steps,bc,z_value,reference_z,abs_error\n"
+        "exact,9.9999999999999995e-07,2,,periodic,"
+        "1.9999979999907325e-06,1.9999979999907325e-06,0\n",
+    "determinant --beta 1 --omega 1 --steps 8 --scheme first-order":
+        '{"route": "determinant", "beta": 1.0, "omega": 1.0, "n_steps": 8, "bc": "antiperiodic", '
+        '"z_value": 1.3436089158058167, "reference_z": 1.3678794411714423, '
+        '"abs_error": 0.024270525365625684}\n'
+        '{"route": "determinant", "beta": 1.0, "omega": 1.0, "n_steps": 8, "bc": "periodic", '
+        '"z_value": 0.6563910841941833, "reference_z": 0.6321205588285577, '
+        '"abs_error": 0.024270525365625684}\n',
+    "determinant --beta 5 --omega 0.5 --steps 20 --format csv":
+        "route,beta,omega,n_steps,bc,z_value,reference_z,abs_error\n"
+        "determinant,5,0.5,20,antiperiodic,1.0820849986238987,1.0820849986238987,0\n"
+        "determinant,5,0.5,20,periodic,"
+        "0.91791500137610127,0.91791500137610116,1.1102230246251565e-16\n",
+    "sweep --beta 1 --omega 1 --steps 8 9 20 --bc periodic":
+        '{"route": "sweep", "beta": 1.0, "omega": 1.0, "n_steps": 8, "bc": "periodic", '
+        '"z_value": 0.6321205588285577, "reference_z": 0.6321205588285577, "abs_error": 0.0}\n'
+        '{"route": "sweep", "beta": 1.0, "omega": 1.0, "n_steps": 9, "bc": "periodic", '
+        '"z_value": 0.6321205588285577, "reference_z": 0.6321205588285577, "abs_error": 0.0}\n'
+        '{"route": "sweep", "beta": 1.0, "omega": 1.0, "n_steps": 20, "bc": "periodic", '
+        '"z_value": 0.6321205588285577, "reference_z": 0.6321205588285577, "abs_error": 0.0}\n',
+    "sweep --beta 0.3 5 --omega 2 --steps 1 3 9 --scheme first-order --bc antiperiodic "
+    "--format csv":
+        "route,beta,omega,n_steps,bc,z_value,reference_z,abs_error\n"
+        "sweep,0.29999999999999999,2,1,antiperiodic,"
+        "1.3999999999999999,1.5488116360940265,0.14881163609402659\n"
+        "sweep,0.29999999999999999,2,3,antiperiodic,"
+        "1.512,1.5488116360940265,0.03681163609402649\n"
+        "sweep,0.29999999999999999,2,9,antiperiodic,"
+        "1.5374412413457299,1.5488116360940265,0.011370394748296597\n"
+        "sweep,5,2,1,antiperiodic,-8,1.0000453999297625,9.0000453999297623\n"
+        "sweep,5,2,3,antiperiodic,-11.703703703703706,1.0000453999297625,12.703749103633468\n"
+        "sweep,5,2,9,antiperiodic,"
+        "0.99999999741882517,1.0000453999297625,4.5402510937320173e-05\n",
 }
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN_CHAIN))
+@pytest.mark.parametrize("argv", list(GOLDEN))
 def test_chain_stdout_matches_golden(capsys, argv):
-    assert run_cli(capsys, *argv.split()) == (0, GOLDEN_CHAIN[argv])
+    assert run_cli(capsys, *argv.split()) == (0, GOLDEN[argv])
 
 
 def test_selftest_passes_and_reports_counts(capsys):

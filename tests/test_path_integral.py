@@ -18,7 +18,6 @@ from fermiosc.path_integral import (
     close_boundary,
     closed_form_partition,
     contract_chain,
-    convergence_sweep,
     kernel_paper_form,
     partition_via_determinant,
 )
@@ -186,8 +185,9 @@ class TestActionMatrix:
         assert z == pytest.approx(1.0 + math.exp(-1.0), rel=1e-14)
 
     def test_zero_mode_at_zero_beta(self):
-        z = partition_via_determinant(DiscretizedChain(3, 0.0, 1.0), P)
-        assert z == 0.0
+        assert partition_via_determinant(DiscretizedChain(3, 0.0, 1.0), P) == 0.0
+        for n_steps in (1, 2, 4, 8):
+            assert partition_via_determinant(DiscretizedChain(n_steps, 0.0, 1.0), AP) == 2.0
 
     def test_first_order_four_steps(self):
         chain = DiscretizedChain(4, 1.0, 1.0, SliceScheme.FIRST_ORDER)
@@ -262,23 +262,6 @@ def test_periodic_closed_form_keeps_digits(beta_omega):
     want = Fraction(-math.expm1(-beta_omega))
     assert _rel_error(closed_form_partition(beta_omega, 1.0, P), want) <= 1e-15
     assert _rel_error(thermal_observables(beta_omega, 1.0).z_plus, want) <= 1e-15
-
-
-class TestConvergenceSweep:
-    def test_exact_scheme_errors_vanish(self):
-        for bc in (AP, P):
-            points = convergence_sweep(1.0, 1.0, list(range(1, 65)), SliceScheme.EXACT, bc)
-            assert max(p.abs_error for p in points) <= 1e-12
-
-    def test_zero_beta_is_flat(self):
-        points = convergence_sweep(0.0, 1.0, [1, 2, 4, 8], SliceScheme.EXACT, AP)
-        assert all(p.z_value == 2.0 for p in points)
-
-    def test_validates_step_list(self):
-        with pytest.raises(ValueError):
-            convergence_sweep(1.0, 1.0, [], SliceScheme.EXACT, AP)
-        with pytest.raises(ValueError):
-            convergence_sweep(1.0, 1.0, [4, 2], SliceScheme.EXACT, AP)
 
 
 @given(
