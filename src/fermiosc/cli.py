@@ -98,11 +98,12 @@ def _row(route: str, beta: float, omega: float, n_steps: Optional[int],
 
 
 def run_exact(args: argparse.Namespace) -> List[ResultRow]:
-    return [
-        _row("exact", beta, args.omega, None, bc, _oracle_partition(beta, args.omega, bc))
-        for beta in args.beta
-        for bc in _boundary_conditions(args.bc)
-    ]
+    rows = []
+    for beta in args.beta:
+        for bc in _boundary_conditions(args.bc):
+            z = _oracle_partition(beta, args.omega, bc)
+            rows.append(ResultRow("exact", beta, args.omega, None, bc.value, z, z, 0.0))
+    return rows
 
 
 def run_chain(args: argparse.Namespace) -> List[ResultRow]:

@@ -6,11 +6,13 @@ registry's canonical generator order; every sign is derived from the
 transposition count against that order, so there is one global sign
 convention and no sign drift between operations.  Only coefficients that
 are exactly zero are pruned, so no small term is lost, and a NaN or
-infinite coefficient raises ArithmeticError.  The pair measure is
-dc* dc, innermost first, so the pair integral of e^{-c* c} = 1 - c* c is 1;
-the coherent-state trace built on it lives in
-``fermiosc.path_integral.close_boundary``.  Numeric determinants come
-from numpy or, for the action matrix, from its closed form.
+infinite coefficient raises ArithmeticError.  Berezin integration is
+the left derivative.  The pair measure is dc* dc, innermost first, so the
+pair integral of e^{-c* c} = 1 - c* c is 1; the coherent-state trace built
+on it lives in ``fermiosc.path_integral.close_boundary``.  The Gaussian
+integral of a quadratic form is the top coefficient of an exterior product
+of its columns; numeric determinants come from numpy or, for the action
+matrix, from its closed form.
 
 All values are immutable after construction and every operation is a pure
 function; elements may be shared freely across threads.
@@ -33,20 +35,16 @@ __all__ = [
     "zero",
     "one",
     "add",
-    "scale",
     "mul",
     "coefficient",
     "left_derivative",
-    "berezin_integrate",
     "integrate_pair",
     "substitute",
-    "exp_nilpotent",
     "gaussian_integral_expand",
     "max_coefficient_difference",
 ]
 
-# Largest quadratic-form dimension the symbolic Gaussian integral accepts
-# (n pairs -> 2n generators -> up to 2^(2n) candidate monomials).
+# Largest quadratic-form dimension the symbolic Gaussian integral accepts.
 GAUSSIAN_CAP = 8
 
 
@@ -96,8 +94,6 @@ def register_generators(
     to at most one pair.
     """
     labels = tuple(labels)
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate generator label")
     position = {lab: i for i, lab in enumerate(labels)}
     pairing: dict[int, int] = {}
     for a, b in pairs:
@@ -231,11 +227,6 @@ def add(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     return _build(a.registry, out)
 
 
-def scale(a: GrassmannElement, s: float) -> GrassmannElement:
-    s = float(s)
-    return _build(a.registry, {m: c * s for m, c in a.terms.items()})
-
-
 def _crossings(mask: int) -> int:
     """Bitmask of the positions with an odd number of ``mask`` bits below them.
 
@@ -281,22 +272,18 @@ def left_derivative(a: GrassmannElement, g: int) -> GrassmannElement:
     return _build(a.registry, out)
 
 
-def berezin_integrate(a: GrassmannElement, g: int) -> GrassmannElement:
-    """Berezin integration in ``g``; by definition identical to the left derivative."""
-    return left_derivative(a, g)
-
-
 def integrate_pair(a: GrassmannElement, g_star: int, g: int) -> GrassmannElement:
     """Double Berezin integral over a conjugate pair, innermost first.
 
-    Conventions: the differential closest to the integrand acts first, so
-    the pair integral of ``c c*`` is 1.
+    Berezin integration in a generator is the left derivative in it.  The
+    differential closest to the integrand acts first, so the pair integral
+    of ``c c*`` is 1.
     """
     if not a.registry.is_pair(g_star, g):
         raise ValueError(
             f"generators {g_star} and {g} are not a registered conjugate pair"
         )
-    return berezin_integrate(berezin_integrate(a, g), g_star)
+    return left_derivative(left_derivative(a, g), g_star)
 
 
 def substitute(
@@ -326,32 +313,17 @@ def substitute(
     return _build(a.registry, out)
 
 
-def exp_nilpotent(a: GrassmannElement) -> GrassmannElement:
-    """Exponential of a constant-free element.
-
-    The power series terminates because every monomial of ``a`` carries at
-    least one generator, so ``a**k`` dies once k exceeds the generator count.
-    """
-    if 0 in a.terms:
-        raise ValueError("exp_nilpotent requires a zero constant term")
-    result = one(a.registry)
-    power = one(a.registry)
-    k = 0
-    while True:
-        k += 1
-        power = scale(mul(power, a), 1.0 / k)
-        if power.is_zero:
-            return result
-        result = add(result, power)
-
-
 def gaussian_integral_expand(m) -> float:
-    """Grassmann Gaussian integral of exp(-sum_ij ci* M_ij cj), fully expanded.
+    """Grassmann Gaussian integral of exp(-sum_ij ci* M_ij cj), as det M.
 
-    Builds the nilpotent exponential over a fresh 2n-generator registry and
-    integrates every conjugate pair, highest pair index first; the surviving
-    scalar equals det M.  Intended as the symbolic side of the
-    determinant identity, so n is capped at ``GAUSSIAN_CAP``.
+    Because cj^2 = 0 and the bilinears commute, the exponential is
+    prod_j (1 - psi_j cj) with psi_j = sum_i M_ij ci*.  Integrating each cj
+    leaves psi_j, and the ci* integrals pick the coefficient of
+    c1* ... cn* in psi_1 ... psi_n, which is det M (Berezin, *The Method of
+    Second Quantization*, 1966).  The product is formed over the n
+    generators ci* alone; after k factors it has at most C(n, k) terms.
+    Intended as the symbolic side of the determinant identity, so n is
+    capped at ``GAUSSIAN_CAP``.
     """
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
@@ -361,25 +333,12 @@ def gaussian_integral_expand(m) -> float:
     n = arr.shape[0]
     if n > GAUSSIAN_CAP:
         raise ValueError(f"dimension {n} exceeds the symbolic expansion cap {GAUSSIAN_CAP}")
-    labels: list[str] = []
-    pairs: list[tuple[str, str]] = []
-    for j in range(1, n + 1):
-        labels += [f"c{j}", f"c{j}*"]
-        pairs.append((f"c{j}", f"c{j}*"))
-    registry = register_generators(labels, pairs)
-    plain = [2 * j for j in range(n)]
-    star = [2 * j + 1 for j in range(n)]
-
-    exponent = zero(registry)
-    for i in range(n):
-        for j in range(n):
-            if arr[i, j] != 0.0:
-                exponent = add(exponent, monomial(registry, [star[i], plain[j]], -arr[i, j]))
-
-    expanded = exp_nilpotent(exponent)
-    for j in reversed(range(n)):
-        expanded = integrate_pair(expanded, star[j], plain[j])
-    return expanded.scalar_part()
+    registry = register_generators([f"c{i}*" for i in range(1, n + 1)])
+    product = one(registry)
+    for j in range(n):
+        psi = _build(registry, {1 << i: float(arr[i, j]) for i in range(n)})
+        product = mul(product, psi)
+    return product.terms.get((1 << n) - 1, 0.0)
 
 
 def max_coefficient_difference(a: GrassmannElement, b: GrassmannElement) -> float:

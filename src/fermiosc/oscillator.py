@@ -21,7 +21,6 @@ __all__ = [
     "density_matrix",
     "partition_trace",
     "supertrace",
-    "exact_kernel_coefficient",
     "thermal_observables",
     "validate_point",
 ]
@@ -101,12 +100,6 @@ def partition_trace(rho: np.ndarray) -> float:
 def supertrace(rho: np.ndarray) -> float:
     """Parity-weighted trace Tr[(-1)^N rho]; equals 1 - e^{-beta*omega}."""
     return float(np.trace(parity_operator() @ rho))
-
-
-def exact_kernel_coefficient(beta: float, omega: float) -> float:
-    """Magnitude of the propagating term of the boundary kernel: e^{-beta*omega}."""
-    validate_point(beta, omega)
-    return math.exp(-beta * omega)
 
 
 def thermal_observables(beta: float, omega: float) -> ThermalPoint:

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from fermiosc.oscillator import (
     ThermalPoint,
     density_matrix,
-    exact_kernel_coefficient,
     hamiltonian,
     ladder_matrices,
     number_operator,
@@ -123,14 +122,6 @@ def test_closed_forms_on_grid(beta, omega):
     assert partition_trace(rho) == pytest.approx(1.0 + q, rel=1e-14)
     assert supertrace(rho) == pytest.approx(1.0 - q, rel=1e-14)
     assert partition_trace(rho) + supertrace(rho) == pytest.approx(2.0, abs=1e-14)
-
-
-def test_kernel_coefficient_values():
-    assert exact_kernel_coefficient(0.0, 1.0) == 1.0
-    assert exact_kernel_coefficient(math.log(2.0), 1.0) == pytest.approx(0.5, rel=1e-15)
-    assert exact_kernel_coefficient(1.0, 1.0) == pytest.approx(
-        math.exp(-1.0), rel=1e-15
-    )
 
 
 @given(betas, omegas, betas)
