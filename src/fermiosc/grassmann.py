@@ -11,8 +11,8 @@ the left derivative.  The pair measure is dc* dc, innermost first, so the
 pair integral of e^{-c* c} = 1 - c* c is 1; the coherent-state trace built
 on it lives in ``fermiosc.path_integral.close_boundary``.  The Gaussian
 integral of a quadratic form is the top coefficient of an exterior product
-of its columns; numeric determinants come from numpy or, for the action
-matrix, from its closed form.
+of its columns; the matrix may be any square sequence of rows of numbers,
+a list of lists or a 2-D array.
 
 All values are immutable after construction and every operation is a pure
 function; elements may be shared freely across threads.
@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 __all__ = [
     "GAUSSIAN_CAP",
@@ -325,18 +323,21 @@ def gaussian_integral_expand(m) -> float:
     Intended as the symbolic side of the determinant identity, so n is
     capped at ``GAUSSIAN_CAP``.
     """
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    try:
+        rows = [[float(x) for x in row] for row in m]
+    except TypeError:  # a row that is not a sequence, or an entry that is not a number
+        raise ValueError("expected a square matrix of numbers") from None
+    n = len(rows)
+    if n < 1 or any(len(row) != n for row in rows):
+        raise ValueError(f"expected a square matrix, got row lengths {[len(r) for r in rows]}")
+    if not all(math.isfinite(x) for row in rows for x in row):
         raise ValueError("matrix entries must be finite")
-    n = arr.shape[0]
     if n > GAUSSIAN_CAP:
         raise ValueError(f"dimension {n} exceeds the symbolic expansion cap {GAUSSIAN_CAP}")
     registry = register_generators([f"c{i}*" for i in range(1, n + 1)])
     product = one(registry)
     for j in range(n):
-        psi = _build(registry, {1 << i: float(arr[i, j]) for i in range(n)})
+        psi = _build(registry, {1 << i: rows[i][j] for i in range(n)})
         product = mul(product, psi)
     return product.terms.get((1 << n) - 1, 0.0)
 

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ThermalPoint",
@@ -19,6 +21,7 @@ __all__ = [
     "parity_operator",
     "hamiltonian",
     "density_matrix",
+    "density_matrix_expm1",
     "partition_trace",
     "supertrace",
     "thermal_observables",
@@ -65,6 +68,8 @@ class ThermalPoint:
 
 def ladder_matrices() -> tuple[np.ndarray, np.ndarray]:
     """Creation and annihilation matrices (c_dagger, c) in the (|1>, |0>) basis."""
+    import numpy as np
+
     c_dagger = np.array([[0.0, 1.0], [0.0, 0.0]])
     c = np.array([[0.0, 0.0], [1.0, 0.0]])
     return c_dagger, c
@@ -77,6 +82,8 @@ def number_operator() -> np.ndarray:
 
 def parity_operator() -> np.ndarray:
     """(-1)^N, realized as diag(-1, 1) in the (|1>, |0>) basis."""
+    import numpy as np
+
     return np.diag([-1.0, 1.0])
 
 
@@ -88,18 +95,32 @@ def hamiltonian(omega: float) -> np.ndarray:
 
 def density_matrix(beta: float, omega: float) -> np.ndarray:
     """Unnormalized thermal operator exp(-beta H): diag(e^{-beta*omega}, 1)."""
+    import numpy as np
+
     validate_point(beta, omega)
     return np.diag([math.exp(-beta * omega), 1.0])
 
 
+def density_matrix_expm1(beta: float, omega: float) -> np.ndarray:
+    """D = exp(-beta H) - I = diag(expm1(-beta*omega), 0), formed without subtraction.
+
+    Since Str I = 0, supertrace(D) is 1 - e^{-beta*omega} to full relative
+    accuracy where supertrace(density_matrix(...)) cancels at small beta*omega.
+    """
+    import numpy as np
+
+    validate_point(beta, omega)
+    return np.diag([math.expm1(-beta * omega), 0.0])
+
+
 def partition_trace(rho: np.ndarray) -> float:
     """Sum of diagonal entries; the fermionic partition function 1 + e^{-beta*omega}."""
-    return float(np.trace(rho))
+    return float(rho.trace())
 
 
 def supertrace(rho: np.ndarray) -> float:
     """Parity-weighted trace Tr[(-1)^N rho]; equals 1 - e^{-beta*omega}."""
-    return float(np.trace(parity_operator() @ rho))
+    return float((parity_operator() @ rho).trace())
 
 
 def thermal_observables(beta: float, omega: float) -> ThermalPoint:

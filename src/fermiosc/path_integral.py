@@ -19,8 +19,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .grassmann import (
     GAUSSIAN_CAP,
@@ -36,6 +35,9 @@ from .grassmann import (
     substitute,
 )
 from .oscillator import validate_point
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SliceScheme",
@@ -199,6 +201,8 @@ def action_matrix(chain: DiscretizedChain, bc: BoundaryCondition) -> np.ndarray:
     Unit diagonal, -lambda on the subdiagonal, and a +lambda (antiperiodic)
     or -lambda (periodic) corner; its determinant is 1 +- lambda^N.
     """
+    import numpy as np
+
     lam = chain.step_coefficient
     m = np.eye(chain.n_steps) - lam * np.eye(chain.n_steps, k=-1)
     m[0, -1] += lam if bc is BoundaryCondition.ANTIPERIODIC else -lam

@@ -15,8 +15,6 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, List, Sequence
 
-import numpy as np
-
 from .grassmann import (
     GAUSSIAN_CAP,
     GrassmannElement,
@@ -83,6 +81,8 @@ class Invariant:
     defect: Callable[[Any], float]
 
     def check(self) -> CheckResult:
+        import numpy as np
+
         try:
             # np.max, unlike max, lets a NaN defect through to fail the entry
             worst = float(np.max([self.defect(point) for point in self.grid]))
@@ -143,6 +143,8 @@ def _derivative_squared(draw: int) -> float:
 
 
 def _integral_vs_det(m) -> float:
+    import numpy as np
+
     return abs(gaussian_integral_expand(m) - float(np.linalg.det(m)))
 
 
@@ -153,12 +155,16 @@ def _random_matrix(draw: int) -> List[List[float]]:
 
 
 def _canonical_anticommutation(_) -> float:
+    import numpy as np
+
     c_dag, c = ladder_matrices()
     return float(max(np.max(np.abs(m)) for m in (c @ c_dag + c_dag @ c - np.eye(2),
                                                  c @ c, c_dag @ c_dag)))
 
 
 def _density_spectrum(point) -> float:
+    import numpy as np
+
     rho, h = density_matrix(*point), hamiltonian(point[1])
     if not np.array_equal(rho @ h, h @ rho):
         return math.inf
@@ -167,6 +173,8 @@ def _density_spectrum(point) -> float:
 
 
 def _density_semigroup(point) -> float:
+    import numpy as np
+
     beta_1, beta_2, omega = point
     combined = density_matrix(beta_1 + beta_2, omega)
     product = density_matrix(beta_1, omega) @ density_matrix(beta_2, omega)
@@ -256,7 +264,7 @@ INVARIANTS = (
     Invariant("partition-closed-form", "relative |Tr rho - (1 + e^-bw)|", _GRID, 1e-15,
               lambda p: _rel(partition_trace(density_matrix(*p)), 1.0 + math.exp(-p[0] * p[1]))),
     Invariant("supertrace-closed-form", "relative |Str rho - (1 - e^-bw)|", _GRID, 1e-14,
-              lambda p: _rel(supertrace(density_matrix(*p)), 1.0 - math.exp(-p[0] * p[1]))),
+              lambda p: _rel(supertrace(density_matrix(*p)), -math.expm1(-p[0] * p[1]))),
     Invariant("trace-supertrace-sum", "|Tr rho + Str rho - 2|", _GRID, 1e-14,
               lambda p: abs(partition_trace(density_matrix(*p))
                             + supertrace(density_matrix(*p)) - 2.0)),

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fermiosc
 from fermiosc.cli import ResultRow, emit, main
+from fermiosc.path_integral import BoundaryCondition, closed_form_partition
 from fermiosc.selftest import Invariant
 
 
@@ -240,21 +246,22 @@ def test_chain_past_64_steps_prints_rows(capsys):
     )
 
 
-# stdout of earlier releases, byte for byte: a change of convention or of the
-# row pipeline must not move it
+# stdout byte for byte: a change of convention or of the row pipeline must
+# not move it; only a correctness fix named in CHANGES.md may
 GOLDEN = {
     "chain --beta 1e-4 --omega 0.5 --steps 1 --scheme exact":
         '{"route": "chain", "beta": 0.0001, "omega": 0.5, "n_steps": 1, "bc": "antiperiodic", '
         '"z_value": 1.9999500012499791, "reference_z": 1.9999500012499791, "abs_error": 0.0}\n'
         '{"route": "chain", "beta": 0.0001, "omega": 0.5, "n_steps": 1, "bc": "periodic", '
-        '"z_value": 4.999875002087428e-05, "reference_z": 4.999875002087428e-05, "abs_error": 0.0}\n',
+        '"z_value": 4.999875002087428e-05, "reference_z": 4.9998750020833077e-05, '
+        '"abs_error": 4.12064588180272e-17}\n',
     "chain --beta 1e-4 --omega 2 --steps 64 --scheme first-order":
         '{"route": "chain", "beta": 0.0001, "omega": 2.0, "n_steps": 64, "bc": "antiperiodic", '
         '"z_value": 1.9998000196862291, "reference_z": 1.9998000199986667, '
         '"abs_error": 3.12437631322382e-10}\n'
         '{"route": "chain", "beta": 0.0001, "omega": 2.0, "n_steps": 64, "bc": "periodic", '
-        '"z_value": 0.00019998031377077563, "reference_z": 0.00019998000133325533, '
-        '"abs_error": 3.1243752030007954e-10}\n',
+        '"z_value": 0.00019998031377077563, "reference_z": 0.0001999800013332667, '
+        '"abs_error": 3.124375089430618e-10}\n',
     "chain --beta 30 --omega 2 --steps 7 --scheme first-order --format csv":
         "route,beta,omega,n_steps,bc,z_value,reference_z,abs_error\n"
         "chain,30,2,7,antiperiodic,-1426410.4197279315,1,1426411.4197279315\n"
@@ -271,7 +278,7 @@ GOLDEN = {
     "exact --beta 1e-6 --omega 2 --bc periodic --format csv":
         "route,beta,omega,n_steps,bc,z_value,reference_z,abs_error\n"
         "exact,9.9999999999999995e-07,2,,periodic,"
-        "1.9999979999907325e-06,1.9999979999907325e-06,0\n",
+        "1.9999980000013331e-06,1.9999980000013331e-06,0\n",
     "determinant --beta 1 --omega 1 --steps 8 --scheme first-order":
         '{"route": "determinant", "beta": 1.0, "omega": 1.0, "n_steps": 8, "bc": "antiperiodic", '
         '"z_value": 1.3436089158058167, "reference_z": 1.3678794411714423, '
@@ -283,7 +290,11 @@ GOLDEN = {
         "route,beta,omega,n_steps,bc,z_value,reference_z,abs_error\n"
         "determinant,5,0.5,20,antiperiodic,1.0820849986238987,1.0820849986238987,0\n"
         "determinant,5,0.5,20,periodic,"
-        "0.91791500137610127,0.91791500137610116,1.1102230246251565e-16\n",
+        "0.91791500137610127,0.91791500137610127,0\n",
+    # the periodic reference keeps its digits at beta*omega = 1e-12
+    "determinant --beta 1e-12 --omega 1 --steps 9 --bc periodic":
+        '{"route": "determinant", "beta": 1e-12, "omega": 1.0, "n_steps": 9, "bc": "periodic", '
+        '"z_value": 9.999999999995e-13, "reference_z": 9.999999999995e-13, "abs_error": 0.0}\n',
     "sweep --beta 1 --omega 1 --steps 8 9 20 --bc periodic":
         '{"route": "sweep", "beta": 1.0, "omega": 1.0, "n_steps": 8, "bc": "periodic", '
         '"z_value": 0.6321205588285577, "reference_z": 0.6321205588285577, "abs_error": 0.0}\n'
@@ -310,6 +321,55 @@ GOLDEN = {
 @pytest.mark.parametrize("argv", list(GOLDEN))
 def test_chain_stdout_matches_golden(capsys, argv):
     assert run_cli(capsys, *argv.split()) == (0, GOLDEN[argv])
+
+
+@pytest.mark.parametrize("beta_omega", [1e-12, 1e-6, 1.0, 30.0])
+@pytest.mark.parametrize("bc", [bc.value for bc in BoundaryCondition])
+@pytest.mark.parametrize(
+    "command", ["chain --steps 8", "determinant --steps 8", "sweep --steps 1 9", "exact"]
+)
+def test_reference_is_the_closed_form(capsys, command, bc, beta_omega):
+    beta, omega = beta_omega / 2, 2.0  # beta * omega == beta_omega exactly
+    argv = command.split() + ["--beta", repr(beta), "--omega", repr(omega), "--bc", bc]
+    code, out = run_cli(capsys, *argv)
+    want = closed_form_partition(beta, omega, BoundaryCondition(bc))
+    assert code == 0
+    for row in json_rows(out):
+        assert row["reference_z"] == want
+        if row["route"] == "exact":
+            assert row["z_value"] == want
+
+
+_SRC = str(Path(fermiosc.__file__).resolve().parents[1])
+_NUMPY_PROBE = """
+import sys
+from fermiosc.cli import main
+assert "numpy" not in sys.modules, "import fermiosc.cli loaded numpy"
+for argv in sys.argv[1:]:
+    assert main(argv.split()) == 0, argv
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "commands, loads_numpy",
+    [
+        # routes that build no array: the chain, and the determinant above GAUSSIAN_CAP
+        (["chain --beta 1 --omega 1 --steps 32", "determinant --beta 1 --omega 1 --steps 9",
+          "sweep --beta 1 --omega 1 --steps 9 20"], False),
+        # the 2x2 oracle, the Gaussian cross-check's action matrix, the catalogue
+        (["exact --beta 1 --omega 1", "determinant --beta 1 --omega 1 --steps 8", "selftest"],
+         True),
+    ],
+)
+def test_numpy_is_imported_only_where_arrays_are_built(commands, loads_numpy):
+    # a fresh interpreter, since pytest and the test modules have loaded numpy here
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *commands], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str(loads_numpy)
 
 
 def test_selftest_passes_and_reports_counts(capsys):

@@ -184,6 +184,21 @@ class TestGaussianIntegral:
         with pytest.raises(ValueError, match="cap"):
             gaussian_integral_expand(np.eye(9))
 
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            ([], "square matrix"),
+            ([1.0, 2.0], "square matrix"),
+            ([[1.0, 2.0]], "square matrix"),
+            (np.ones((2, 3)), "square matrix"),
+            ([[1.0, math.nan], [0.0, 1.0]], "finite"),
+            (np.diag([1.0, math.inf]), "finite"),
+        ],
+    )
+    def test_malformed_matrix_rejected(self, m, message):
+        with pytest.raises(ValueError, match=message):
+            gaussian_integral_expand(m)
+
 
 class TestTraceFunctional:
     """The coherent-state trace over one boundary pair, as close_boundary applies it."""
