@@ -6,6 +6,10 @@ oracle, `chain` contracts the sliced propagator symbolically,
 determinant route over a list of step counts, and `selftest` runs the
 internal invariant checks.  Rows go to standard output as JSON lines or
 CSV; identical invocations produce byte-identical output.
+
+reference_z is `oscillator.closed_form_partition`; `exact` prints
+`oscillator.oracle_partition`.  `oscillator.validate_point` is the one
+domain rule (exit 2); beta = 0 passes it on every route (Z- = 2, Z+ = 0).
 """
 
 from __future__ import annotations
@@ -16,13 +20,11 @@ import math
 import sys
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .oscillator import density_matrix, density_matrix_expm1, partition_trace, supertrace
+from .oscillator import BoundaryCondition, closed_form_partition, oracle_partition
 from .path_integral import (
-    BoundaryCondition,
     DiscretizedChain,
     SliceScheme,
     close_boundary,
-    closed_form_partition,
     contract_chain,
     partition_via_determinant,
 )
@@ -83,13 +85,6 @@ def _boundary_conditions(choice: str) -> Tuple[BoundaryCondition, ...]:
     return (BoundaryCondition(choice),)
 
 
-def _oracle_partition(beta: float, omega: float, bc: BoundaryCondition) -> float:
-    """Tr rho, or Str D with D = rho - I (Str I = 0), so no digits cancel."""
-    if bc is BoundaryCondition.ANTIPERIODIC:
-        return partition_trace(density_matrix(beta, omega))
-    return supertrace(density_matrix_expm1(beta, omega))
-
-
 def _row(route: str, beta: float, omega: float, n_steps: Optional[int],
          bc: BoundaryCondition, z_value: float) -> ResultRow:
     # the stdlib closed form, to which the selftest catalogue pins the oracle
@@ -103,7 +98,7 @@ def run_exact(args: argparse.Namespace) -> List[ResultRow]:
     rows = []
     for beta in args.beta:
         for bc in _boundary_conditions(args.bc):
-            z = _oracle_partition(beta, args.omega, bc)
+            z = oracle_partition(beta, args.omega, bc)
             rows.append(_row("exact", beta, args.omega, None, bc, z))
     return rows
 
@@ -178,10 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="boundary condition rows to emit (default %(default)s)")
         sub.add_argument("--format", choices=["json", "csv"], default="json",
                          help="output table format (default %(default)s)")
-    commands.choices["exact"].add_argument(
-        "--allow-beta-zero", action="store_true",
-        help="permit beta = 0 (partition values only, no observables)",
-    )
+    # accepted and ignored, so scripts that pass it keep working: every route takes beta = 0
+    commands.choices["exact"].add_argument("--allow-beta-zero", action="store_true",
+                                           help=argparse.SUPPRESS)
     commands.add_parser("selftest", help="run the invariant checks")
     return parser
 
@@ -199,16 +193,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "selftest":
         return run_selftest_command(args)
-    # the library refuses every other invalid point with ValueError
-    if 0.0 in args.beta and not (args.command == "exact" and args.allow_beta_zero):
-        parser.error(
-            "beta must be > 0 for observables; use --allow-beta-zero for Z only"
-            if args.command == "exact"
-            else "beta must be > 0"
-        )
     try:
         rows = _RUNNERS[args.command](args)
-    except ValueError as exc:
+    except ValueError as exc:  # validate_point refused the point, or sweep its step list
         parser.error(str(exc))
     except ArithmeticError as exc:  # the message names the failed check or overflow
         sys.stderr.write("%s\n" % exc)

@@ -2,11 +2,14 @@
 
 Everything here is closed-form 2x2 linear algebra in the basis (|1>, |0>),
 the ordering in which the thermal density matrix reads diag(e^{-beta*omega}, 1).
-These values serve as ground truth for the path-integral routes.
+These values serve as ground truth for the path-integral routes.  The
+module owns Z-+: the trace/supertrace choice (BoundaryCondition), the
+closed form 1 +- e^{-beta*omega} and the oracle value, oracle_partition.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -15,6 +18,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
+    "BoundaryCondition",
     "ThermalPoint",
     "ladder_matrices",
     "number_operator",
@@ -24,9 +28,18 @@ __all__ = [
     "density_matrix_expm1",
     "partition_trace",
     "supertrace",
+    "closed_form_partition",
+    "oracle_partition",
     "thermal_observables",
     "validate_point",
 ]
+
+
+class BoundaryCondition(enum.Enum):
+    """Closure of the Euclidean time circle: c(0) = -c(beta) or c(0) = +c(beta)."""
+
+    ANTIPERIODIC = "antiperiodic"
+    PERIODIC = "periodic"
 
 
 def validate_point(beta: float, omega: float, n_steps: int | None = None) -> None:
@@ -123,21 +136,35 @@ def supertrace(rho: np.ndarray) -> float:
     return float((parity_operator() @ rho).trace())
 
 
+def closed_form_partition(beta: float, omega: float, bc: BoundaryCondition) -> float:
+    """1 + e^{-beta*omega} (antiperiodic) or 1 - e^{-beta*omega} (periodic)."""
+    if bc is BoundaryCondition.ANTIPERIODIC:
+        return 1.0 + math.exp(-beta * omega)
+    return -math.expm1(-beta * omega) + 0.0  # + 0.0: never -0.0
+
+
+def oracle_partition(beta: float, omega: float, bc: BoundaryCondition) -> float:
+    """Tr rho, or Str D with D = rho - I (Str I = 0), so no digits cancel."""
+    if bc is BoundaryCondition.ANTIPERIODIC:
+        return partition_trace(density_matrix(beta, omega))
+    return supertrace(density_matrix_expm1(beta, omega))
+
+
 def thermal_observables(beta: float, omega: float) -> ThermalPoint:
     """Canonical-ensemble observables from the closed-form partition functions.
 
     F = -ln(Z-)/beta, <E> = omega e^{-beta*omega}/(1 + e^{-beta*omega}),
-    S = beta(<E> - F).
+    S = beta<E> + ln(Z-), which equals beta(<E> - F) without forming ln(Z-)/beta.
     """
     validate_point(beta, omega)
     if beta == 0:
         raise ValueError("observables need beta > 0")
-    boltzmann = math.exp(-beta * omega)
-    z_minus = 1.0 + boltzmann
-    z_plus = -math.expm1(-beta * omega) + 0.0  # + 0.0: never -0.0
-    free_energy = -math.log(z_minus) / beta
-    mean_energy = omega * boltzmann / z_minus
-    entropy = beta * (mean_energy - free_energy)
+    z_minus = closed_form_partition(beta, omega, BoundaryCondition.ANTIPERIODIC)
+    z_plus = closed_form_partition(beta, omega, BoundaryCondition.PERIODIC)
+    log_z = math.log(z_minus)
+    mean_energy = omega * math.exp(-beta * omega) / z_minus
+    free_energy = -log_z / beta
+    entropy = beta * mean_energy + log_z
     return ThermalPoint(
         beta=beta,
         omega=omega,

@@ -34,20 +34,19 @@ from .grassmann import (
     register_generators,
     substitute,
 )
-from .oscillator import validate_point
+# closed_form_partition is re-exported for callers that import it from here
+from .oscillator import BoundaryCondition, closed_form_partition, validate_point  # noqa: F401
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
     "SliceScheme",
-    "BoundaryCondition",
     "DiscretizedChain",
     "PropagatorKernel",
     "contract_chain",
     "kernel_paper_form",
     "close_boundary",
-    "closed_form_partition",
     "action_matrix",
     "partition_via_determinant",
 ]
@@ -75,13 +74,6 @@ class SliceScheme(enum.Enum):
 
     FIRST_ORDER = "first-order"
     EXACT = "exact"
-
-
-class BoundaryCondition(enum.Enum):
-    """Closure of the Euclidean time circle: c(0) = -c(beta) or c(0) = +c(beta)."""
-
-    ANTIPERIODIC = "antiperiodic"
-    PERIODIC = "periodic"
 
 
 @dataclass(frozen=True)
@@ -145,12 +137,13 @@ def contract_chain(chain: DiscretizedChain) -> PropagatorKernel:
     lam = chain.step_coefficient
     n = chain.n_steps
     element = _slice_kernel(lam, _PAIRS[(n - 1) % 2][1], _C0)
-    # hops[p] carries c_{k-1} in pair p to c_k in the other pair
-    hops = [_slice_kernel(lam, _PAIRS[1 - p][1], _PAIRS[p][0]) for p in (0, 1)]
+    # hops[p] carries c_{k-1} in pair p to c_k in the other pair; it is weighed
+    # by pair p's measure here, once, since mul is associative
+    hops = [mul(_slice_kernel(lam, _PAIRS[1 - p][1], _PAIRS[p][0]), _WEIGHTS[p]) for p in (0, 1)]
     for k in range(2, n + 1):
         p = (n - k + 1) % 2
         c, star = _PAIRS[p]
-        element = integrate_pair(mul(mul(element, hops[p]), _WEIGHTS[p]), star, c)
+        element = integrate_pair(mul(element, hops[p]), star, c)
     kernel = PropagatorKernel.from_element(element)
     logger.debug(
         "contracted chain N=%d scheme=%s: coeff_id=%.17g coeff_prop=%.17g",
@@ -186,13 +179,6 @@ def close_boundary(kernel: PropagatorKernel, bc: BoundaryCondition) -> float:
     factor = -1.0 if bc is BoundaryCondition.ANTIPERIODIC else 1.0
     closed = substitute(kernel.element, _C0, _CB, factor)
     return integrate_pair(mul(closed, _WEIGHTS[0]), _CB_STAR, _CB).scalar_part()
-
-
-def closed_form_partition(beta: float, omega: float, bc: BoundaryCondition) -> float:
-    """1 + e^{-beta*omega} (antiperiodic) or 1 - e^{-beta*omega} (periodic)."""
-    if bc is BoundaryCondition.ANTIPERIODIC:
-        return 1.0 + math.exp(-beta * omega)
-    return -math.expm1(-beta * omega) + 0.0  # + 0.0: never -0.0
 
 
 def action_matrix(chain: DiscretizedChain, bc: BoundaryCondition) -> np.ndarray:

@@ -27,20 +27,19 @@ from .grassmann import (
     register_generators,
 )
 from .oscillator import (
+    BoundaryCondition,
+    closed_form_partition,
     density_matrix,
     hamiltonian,
     ladder_matrices,
-    partition_trace,
-    supertrace,
+    oracle_partition,
     thermal_observables,
 )
 from .path_integral import (
-    BoundaryCondition,
     DiscretizedChain,
     SliceScheme,
     action_matrix,
     close_boundary,
-    closed_form_partition,
     contract_chain,
     kernel_paper_form,
     partition_via_determinant,
@@ -52,6 +51,7 @@ _BETAS = (0.1, 0.5, 1.0, 2.0)
 _OMEGAS = (0.5, 1.0, 2.0)
 _GRID = tuple(itertools.product(_BETAS + (5.0,), _OMEGAS))
 _ONCE = (None,)
+_AP, _P = BoundaryCondition.ANTIPERIODIC, BoundaryCondition.PERIODIC
 _REG6 = register_generators(["g%d" % k for k in range(6)])
 _GENERATORS = tuple(monomial(_REG6, [i]) for i in range(_REG6.size))
 
@@ -183,8 +183,8 @@ def _density_semigroup(point) -> float:
 
 def _mean_energy_derivative(point, step: float = 1e-5) -> float:
     beta, omega = point
-    up = math.log(partition_trace(density_matrix(beta + step, omega)))
-    down = math.log(partition_trace(density_matrix(beta - step, omega)))
+    up = math.log(oracle_partition(beta + step, omega, _AP))
+    down = math.log(oracle_partition(beta - step, omega, _AP))
     return abs(thermal_observables(beta, omega).mean_energy + (up - down) / (2.0 * step))
 
 
@@ -199,7 +199,7 @@ def _route_equivalence(point) -> float:
 
 def _graded_duality(point) -> float:
     beta, omega = point
-    z_plus = supertrace(density_matrix(beta, omega))
+    z_plus = oracle_partition(beta, omega, _P)
     cutoff = int(math.ceil(40.0 / (beta * omega)))
     bosonic = math.fsum(math.exp(-beta * omega * n) for n in range(cutoff + 1))
     return abs(z_plus * bosonic - 1.0)
@@ -237,7 +237,6 @@ def _halving_defect(bc: BoundaryCondition) -> float:
     return max(abs(a / b - 2.0) for a, b in zip(errors, errors[1:]))
 
 
-_AP, _P = BoundaryCondition.ANTIPERIODIC, BoundaryCondition.PERIODIC
 _ACTION_POINTS = ((0.0, 1.0), (1e-9, 1.0), (0.5, 2.0), (1.0, 1.0), (2.0, 2.0))
 _ACTION_GRID = tuple(
     (n, b, w, s, bc) for b, w in _ACTION_POINTS for s in SliceScheme
@@ -262,12 +261,11 @@ INVARIANTS = (
               _canonical_anticommutation),
     Invariant("density-matrix-spectrum", "eigenvalue deviation", _GRID, 1e-12, _density_spectrum),
     Invariant("partition-closed-form", "relative |Tr rho - (1 + e^-bw)|", _GRID, 1e-15,
-              lambda p: _rel(partition_trace(density_matrix(*p)), 1.0 + math.exp(-p[0] * p[1]))),
+              lambda p: _rel(oracle_partition(*p, _AP), closed_form_partition(*p, _AP))),
     Invariant("supertrace-closed-form", "relative |Str rho - (1 - e^-bw)|", _GRID, 1e-14,
-              lambda p: _rel(supertrace(density_matrix(*p)), -math.expm1(-p[0] * p[1]))),
+              lambda p: _rel(oracle_partition(*p, _P), closed_form_partition(*p, _P))),
     Invariant("trace-supertrace-sum", "|Tr rho + Str rho - 2|", _GRID, 1e-14,
-              lambda p: abs(partition_trace(density_matrix(*p))
-                            + supertrace(density_matrix(*p)) - 2.0)),
+              lambda p: abs(oracle_partition(*p, _AP) + oracle_partition(*p, _P) - 2.0)),
     Invariant("density-semigroup", "entrywise semigroup defect",
               tuple(itertools.product(_BETAS + (5.0,), _BETAS + (5.0,), _OMEGAS)), 1e-14,
               _density_semigroup),
@@ -280,10 +278,10 @@ INVARIANTS = (
               _route_equivalence),
     Invariant("antiperiodic-matches-trace", "relative closure/trace mismatch", _GRID, 1e-12,
               lambda p: _rel(close_boundary(kernel_paper_form(*p), _AP),
-                             partition_trace(density_matrix(*p)))),
+                             oracle_partition(*p, _AP))),
     Invariant("periodic-matches-supertrace", "relative closure/supertrace mismatch", _GRID,
               1e-12, lambda p: _rel(close_boundary(kernel_paper_form(*p), _P),
-                                    supertrace(density_matrix(*p)))),
+                                    oracle_partition(*p, _P))),
     Invariant("graded-partition-duality", "|Z+ * sum_n e^(-bwn) - 1|", _GRID, 1e-12,
               _graded_duality),
     Invariant("chain-coefficient-exactness", "coefficient defect", range(1, 65), 1e-13,

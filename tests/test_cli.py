@@ -136,12 +136,6 @@ def test_output_is_deterministic(capsys):
     assert len(json_rows(first)) == 8
 
 
-def test_beta_zero_needs_opt_in(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["exact", "--beta", "0", "--omega", "1"])
-    assert err.value.code == 2
-
-
 def test_beta_zero_partition_values(capsys):
     code, out = run_cli(
         capsys, "exact", "--beta", "0", "--omega", "1", "--allow-beta-zero"
@@ -151,10 +145,20 @@ def test_beta_zero_partition_values(capsys):
     assert [r["z_value"] for r in rows] == [2.0, 0.0]
 
 
-def test_chain_rejects_beta_zero_even_with_flag_elsewhere(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["chain", "--beta", "0", "--omega", "1"])
-    assert err.value.code == 2
+@pytest.mark.parametrize("beta", ["0", "-0.0"])
+@pytest.mark.parametrize("command", ["exact", "chain", "determinant", "sweep"])
+def test_beta_zero_prints_rows_on_every_route(capsys, command, beta):
+    # validate_point is the one domain rule, and it accepts beta = 0
+    code, out = run_cli(capsys, command, "--beta", beta, "--omega", "1")
+    rows = json_rows(out)
+    assert code == 0
+    assert [r["z_value"] for r in rows] == [r["reference_z"] for r in rows]
+    assert [repr(r["z_value"]) for r in rows] == ["2.0", "0.0"]  # never -0.0
+
+
+def test_allow_beta_zero_is_an_ignored_flag(capsys):
+    argv = ["exact", "--beta", "0", "--omega", "1"]
+    assert run_cli(capsys, *argv, "--allow-beta-zero") == run_cli(capsys, *argv)
 
 
 @pytest.mark.parametrize(

@@ -18,12 +18,6 @@ from fermiosc.grassmann import (
     register_generators,
     substitute,
 )
-from fermiosc.path_integral import (
-    BoundaryCondition,
-    PropagatorKernel,
-    close_boundary,
-    kernel_paper_form,
-)
 
 REG6 = register_generators(["g%d" % i for i in range(6)])
 
@@ -198,27 +192,6 @@ class TestGaussianIntegral:
     def test_malformed_matrix_rejected(self, m, message):
         with pytest.raises(ValueError, match=message):
             gaussian_integral_expand(m)
-
-
-class TestTraceFunctional:
-    """The coherent-state trace over one boundary pair, as close_boundary applies it."""
-
-    REG = kernel_paper_form(1.0, 1.0).element.registry
-    C0, CB_STAR, CT = map(REG.index, ("c(0)", "c*(b)", "c(t)"))
-
-    def kernel(self, element):
-        return PropagatorKernel.from_element(element)
-
-    def test_unit_coefficient_counts_states(self):
-        # 1 + c*(beta) c(0) is the unit overlap; its antiperiodic trace is Tr 1 = 2
-        k = self.kernel(add(one(self.REG), monomial(self.REG, [self.CB_STAR, self.C0])))
-        assert close_boundary(k, BoundaryCondition.ANTIPERIODIC) == 2.0
-
-    def test_foreign_generator_rejected(self):
-        bad = add(one(self.REG), monomial(self.REG, [self.CB_STAR, self.CT]))
-        bad = add(bad, monomial(self.REG, [self.CB_STAR, self.C0], 0.5))
-        with pytest.raises(ValueError):
-            close_boundary(self.kernel(bad), BoundaryCondition.ANTIPERIODIC)
 
 
 class TestSubstitute:

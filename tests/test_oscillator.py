@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import fermiosc
 from fermiosc.oscillator import (
+    BoundaryCondition,
     ThermalPoint,
+    closed_form_partition,
     density_matrix,
     hamiltonian,
     ladder_matrices,
@@ -155,6 +158,13 @@ def test_thermal_point_internal_consistency(beta, omega):
     )
 
 
+@pytest.mark.parametrize("beta", [1e-310, 5e-324])
+def test_entropy_at_subnormal_beta_is_ln2(beta):
+    # S = beta<E> + ln Z- never forms ln(Z-)/beta, which overflows here
+    entropy = thermal_observables(beta, 1.0).entropy
+    assert abs(entropy - math.log(2.0)) <= 1e-15 * math.log(2.0)
+
+
 def test_thermal_observables_preconditions():
     with pytest.raises(ValueError):
         thermal_observables(0.0, 1.0)
@@ -173,3 +183,12 @@ def test_thermal_point_rejects_inconsistent_record():
             mean_energy=0.0,
             entropy=0.0,
         )
+
+
+def test_oscillator_owns_the_boundary_condition():
+    assert fermiosc.path_integral.BoundaryCondition is BoundaryCondition
+    assert fermiosc.path_integral.closed_form_partition is closed_form_partition
+
+
+def test_package_exports_each_name_once():
+    assert len(fermiosc.__all__) == len(set(fermiosc.__all__))
