@@ -6,10 +6,12 @@ registry's canonical generator order; every sign is derived from the
 transposition count against that order, so there is one global sign
 convention and no sign drift between operations.  Only coefficients that
 are exactly zero are pruned, so no small term is lost, and a NaN or
-infinite coefficient raises ArithmeticError.  Berezin integration is
-the left derivative.  The pair measure is dc* dc, innermost first, so the
-pair integral of e^{-c* c} = 1 - c* c is 1; the coherent-state trace built
-on it lives in ``fermiosc.path_integral.close_boundary``.  The Gaussian
+infinite coefficient raises ArithmeticError.  A registry is an ordered
+tuple of labels; which generators form a conjugate pair is the caller's
+layout.  Berezin integration is the left derivative, and ``integrate_pair``
+integrates any two generators, innermost first, so the pair integral of
+e^{-c* c} = 1 - c* c over dc* dc is 1; the coherent-state trace built on
+it lives in ``fermiosc.path_integral.close_boundary``.  The Gaussian
 integral of a quadratic form is the top coefficient of an exterior product
 of its columns; the matrix may be any square sequence of rows of numbers,
 a list of lists or a 2-D array.
@@ -21,8 +23,8 @@ function; elements may be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 __all__ = [
     "GAUSSIAN_CAP",
@@ -48,62 +50,24 @@ GAUSSIAN_CAP = 8
 
 @dataclass(frozen=True)
 class GeneratorRegistry:
-    """Ordered set of generator labels with optional conjugate pairing.
-
-    The registration order is the canonical monomial order.  ``pairing``
-    maps a generator index to its conjugate's index, symmetrically.
-    """
+    """Ordered set of generator labels; the order is the canonical monomial order."""
 
     labels: tuple[str, ...]
-    pairing: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.labels:
             raise ValueError("registry needs at least one generator label")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate generator label")
-        for a, b in self.pairing.items():
-            if a == b:
-                raise ValueError(f"generator {self.labels[a]!r} paired with itself")
-            if self.pairing.get(b) != a:
-                raise ValueError("pairing must be symmetric")
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown generator label {label!r}") from None
 
-    def is_pair(self, a: int, b: int) -> bool:
-        return self.pairing.get(a) == b
-
-
-def register_generators(
-    labels: Sequence[str],
-    pairs: Iterable[tuple[str, str]] = (),
-) -> GeneratorRegistry:
-    """Create a registry whose canonical order is the input label order.
-
-    ``pairs`` marks (c, c*) conjugate pairs by label; each label may belong
-    to at most one pair.
-    """
-    labels = tuple(labels)
-    position = {lab: i for i, lab in enumerate(labels)}
-    pairing: dict[int, int] = {}
-    for a, b in pairs:
-        if a not in position or b not in position:
-            missing = a if a not in position else b
-            raise ValueError(f"pairing references unknown label {missing!r}")
-        ia, ib = position[a], position[b]
-        if ia in pairing or ib in pairing:
-            raise ValueError(f"generator paired twice: ({a!r}, {b!r})")
-        pairing[ia] = ib
-        pairing[ib] = ia
-    return GeneratorRegistry(labels, pairing)
+def register_generators(labels: Sequence[str]) -> GeneratorRegistry:
+    """Create a registry whose canonical order is the input label order."""
+    return GeneratorRegistry(tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -122,13 +86,6 @@ class GrassmannElement:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def support(self) -> int:
-        """Bitmask union of every generator appearing in any monomial."""
-        out = 0
-        for mask in self.terms:
-            out |= mask
-        return out
 
     def scalar_part(self) -> float:
         """Coefficient of the empty monomial."""
@@ -271,16 +228,12 @@ def left_derivative(a: GrassmannElement, g: int) -> GrassmannElement:
 
 
 def integrate_pair(a: GrassmannElement, g_star: int, g: int) -> GrassmannElement:
-    """Double Berezin integral over a conjugate pair, innermost first.
+    """Double Berezin integral d``g_star`` d``g`` over any two generators, innermost first.
 
     Berezin integration in a generator is the left derivative in it.  The
     differential closest to the integrand acts first, so the pair integral
     of ``c c*`` is 1.
     """
-    if not a.registry.is_pair(g_star, g):
-        raise ValueError(
-            f"generators {g_star} and {g} are not a registered conjugate pair"
-        )
     return left_derivative(left_derivative(a, g), g_star)
 
 

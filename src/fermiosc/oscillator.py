@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -69,6 +69,9 @@ class ThermalPoint:
     entropy: float
 
     def __post_init__(self) -> None:
+        bad = [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]
+        if bad:  # an overflow, as in the engine and the determinant
+            raise ArithmeticError(f"ThermalPoint fields not finite: {', '.join(bad)}")
         if not (self.beta > 0 and self.omega > 0):
             raise ValueError("ThermalPoint requires beta > 0 and omega > 0")
         # open intervals mathematically, but float rounding reaches the
@@ -155,6 +158,7 @@ def thermal_observables(beta: float, omega: float) -> ThermalPoint:
 
     F = -ln(Z-)/beta, <E> = omega e^{-beta*omega}/(1 + e^{-beta*omega}),
     S = beta<E> + ln(Z-), which equals beta(<E> - F) without forming ln(Z-)/beta.
+    An F that overflows (beta below about 3.9e-309) raises ArithmeticError.
     """
     validate_point(beta, omega)
     if beta == 0:

@@ -54,12 +54,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # Every chain lives on these five generators: c(0), the boundary pair and a
-# spare pair.  Interior time points alternate between the two pairs, and
+# spare pair, laid out in _PAIRS alone.  Interior time points alternate between the two pairs, and
 # each pair is integrated out before its slot is used again.
-_REGISTRY = register_generators(
-    ["c(0)", "c(b)", "c*(b)", "c(t)", "c*(t)"],
-    pairs=[("c(b)", "c*(b)"), ("c(t)", "c*(t)")],
-)
+_REGISTRY = register_generators(["c(0)", "c(b)", "c*(b)", "c(t)", "c*(t)"])
 _C0 = 0
 _PAIRS = ((1, 2), (3, 4))  # (c, c*): the boundary pair, then the spare pair
 _CB, _CB_STAR = _PAIRS[0]
@@ -103,21 +100,28 @@ class DiscretizedChain:
 class PropagatorKernel:
     """The kernel <c(beta)|e^{-beta H}|c(0)> = coeff_id + coeff_prop c*(beta) c(0).
 
-    ``element`` lives on the module's fixed registry; coeff_prop is the
-    coefficient of c*(beta) c(0) in that written order.
+    The one check of the kernel's shape: ``element`` must live on the
+    module's fixed registry and hold no monomial but 1 and c*(beta) c(0);
+    both coefficients are read from it.
     """
 
     element: GrassmannElement
-    coeff_id: float
-    coeff_prop: float
 
-    @classmethod
-    def from_element(cls, element: GrassmannElement) -> PropagatorKernel:
-        prop_mask = (1 << _CB_STAR) | (1 << _C0)
-        stray = [m for m in element.terms if m not in (0, prop_mask)]
+    def __post_init__(self) -> None:
+        if self.element.registry != _REGISTRY:
+            raise ValueError("boundary kernel lives on another generator registry")
+        stray = sorted(set(self.element.terms) - {0, (1 << _CB_STAR) | (1 << _C0)})
         if stray:
             raise ValueError(f"unexpected monomials in boundary kernel: {stray}")
-        return cls(element, element.scalar_part(), coefficient(element, [_CB_STAR, _C0]))
+
+    @property
+    def coeff_id(self) -> float:
+        return self.element.scalar_part()
+
+    @property
+    def coeff_prop(self) -> float:
+        """Coefficient of c*(beta) c(0) in that written order."""
+        return coefficient(self.element, [_CB_STAR, _C0])
 
 
 def _slice_kernel(lam: float, star: int, c: int) -> GrassmannElement:
@@ -144,7 +148,7 @@ def contract_chain(chain: DiscretizedChain) -> PropagatorKernel:
         p = (n - k + 1) % 2
         c, star = _PAIRS[p]
         element = integrate_pair(mul(element, hops[p]), star, c)
-    kernel = PropagatorKernel.from_element(element)
+    kernel = PropagatorKernel(element)
     logger.debug(
         "contracted chain N=%d scheme=%s: coeff_id=%.17g coeff_prop=%.17g",
         chain.n_steps,
@@ -163,7 +167,7 @@ def kernel_paper_form(beta: float, omega: float) -> PropagatorKernel:
     """
     validate_point(beta, omega)
     element = _slice_kernel(math.exp(-beta * omega), _CB_STAR, _C0)
-    return PropagatorKernel.from_element(element)
+    return PropagatorKernel(element)
 
 
 def close_boundary(kernel: PropagatorKernel, bc: BoundaryCondition) -> float:
@@ -174,8 +178,6 @@ def close_boundary(kernel: PropagatorKernel, bc: BoundaryCondition) -> float:
     (periodic), weighs by 1 - c*(beta) c(beta) and integrates the boundary
     pair.  On 1 + q c*(beta) c(0) this returns 1 + q or 1 - q.
     """
-    if kernel.element.support() & ~((1 << _C0) | (1 << _CB) | (1 << _CB_STAR)):
-        raise ValueError("kernel references generators outside the boundary set")
     factor = -1.0 if bc is BoundaryCondition.ANTIPERIODIC else 1.0
     closed = substitute(kernel.element, _C0, _CB, factor)
     return integrate_pair(mul(closed, _WEIGHTS[0]), _CB_STAR, _CB).scalar_part()

