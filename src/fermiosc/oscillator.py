@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
@@ -46,14 +47,19 @@ def validate_point(beta: float, omega: float, n_steps: int | None = None) -> Non
     """Refuse a (beta, omega, N) point outside the physical domain.
 
     beta must be finite and nonnegative, omega finite and positive, and
-    n_steps, when given, at least 1; anything else raises ValueError.
+    n_steps, when given, an integer >= 1; anything else raises ValueError.
     """
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be finite and positive, got {omega!r}")
-    if n_steps is not None and n_steps < 1:
-        raise ValueError(f"n_steps must be at least 1, got {n_steps!r}")
+    if n_steps is not None:
+        try:
+            n_steps = operator.index(n_steps)  # a numpy integer passes
+        except TypeError:  # a float, even 9.0, inf or nan
+            raise ValueError(f"n_steps must be an integer, got {n_steps!r}") from None
+        if n_steps < 1:
+            raise ValueError(f"n_steps must be at least 1, got {n_steps!r}")
 
 
 @dataclass(frozen=True)

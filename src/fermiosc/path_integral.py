@@ -19,7 +19,6 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .grassmann import (
     GAUSSIAN_CAP,
@@ -34,11 +33,7 @@ from .grassmann import (
     register_generators,
     substitute,
 )
-# closed_form_partition is re-exported for callers that import it from here
-from .oscillator import BoundaryCondition, closed_form_partition, validate_point  # noqa: F401
-
-if TYPE_CHECKING:
-    import numpy as np
+from .oscillator import BoundaryCondition, validate_point
 
 __all__ = [
     "SliceScheme",
@@ -183,17 +178,16 @@ def close_boundary(kernel: PropagatorKernel, bc: BoundaryCondition) -> float:
     return integrate_pair(mul(closed, _WEIGHTS[0]), _CB_STAR, _CB).scalar_part()
 
 
-def action_matrix(chain: DiscretizedChain, bc: BoundaryCondition) -> np.ndarray:
-    """Quadratic form of the closed discrete action after boundary elimination.
+def action_matrix(chain: DiscretizedChain, bc: BoundaryCondition) -> list[list[float]]:
+    """Quadratic form of the closed discrete action after boundary elimination, as rows.
 
     Unit diagonal, -lambda on the subdiagonal, and a +lambda (antiperiodic)
     or -lambda (periodic) corner; its determinant is 1 +- lambda^N.
     """
-    import numpy as np
-
-    lam = chain.step_coefficient
-    m = np.eye(chain.n_steps) - lam * np.eye(chain.n_steps, k=-1)
-    m[0, -1] += lam if bc is BoundaryCondition.ANTIPERIODIC else -lam
+    n, lam = chain.n_steps, chain.step_coefficient
+    # 0.0 - lam: never -0.0, so a zero lambda leaves plain zeros below the diagonal
+    m = [[1.0 if j == i else 0.0 - lam if j == i - 1 else 0.0 for j in range(n)] for i in range(n)]
+    m[0][-1] += lam if bc is BoundaryCondition.ANTIPERIODIC else -lam
     return m
 
 
@@ -229,9 +223,7 @@ def partition_via_determinant(chain: DiscretizedChain, bc: BoundaryCondition) ->
     except OverflowError:  # float ** int and math.exp raise where they would give inf
         det = math.inf
     if not math.isfinite(det):
-        raise ArithmeticError(
-            f"determinant of the N={chain.n_steps} action matrix is not finite"
-        )
+        raise ArithmeticError(f"determinant of the N={chain.n_steps} action matrix is not finite")
     if chain.n_steps <= GAUSSIAN_CAP:
         symbolic = gaussian_integral_expand(action_matrix(chain, bc))
         if abs(symbolic - det) > 1e-10 * max(1.0, abs(det)):

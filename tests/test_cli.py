@@ -9,7 +9,7 @@ import pytest
 
 import fermiosc
 from fermiosc.cli import ResultRow, emit, main
-from fermiosc.path_integral import BoundaryCondition, closed_form_partition
+from fermiosc.oscillator import BoundaryCondition, closed_form_partition
 from fermiosc.selftest import Invariant
 
 
@@ -358,12 +358,13 @@ print("numpy" in sys.modules)
 @pytest.mark.parametrize(
     "commands, loads_numpy",
     [
-        # routes that build no array: the chain, and the determinant above GAUSSIAN_CAP
-        (["chain --beta 1 --omega 1 --steps 32", "determinant --beta 1 --omega 1 --steps 9",
+        # routes that build no array: the chain, and the determinant and sweep on
+        # both sides of GAUSSIAN_CAP, whose cross-check takes the action matrix as rows
+        (["chain --beta 1 --omega 1 --steps 32", "determinant --beta 1 --omega 1 --steps 8",
+          "determinant --beta 1 --omega 1 --steps 9", "sweep --beta 1 --omega 1 --steps 1 8",
           "sweep --beta 1 --omega 1 --steps 9 20"], False),
-        # the 2x2 oracle, the Gaussian cross-check's action matrix, the catalogue
-        (["exact --beta 1 --omega 1", "determinant --beta 1 --omega 1 --steps 8", "selftest"],
-         True),
+        # the 2x2 oracle and the catalogue
+        (["exact --beta 1 --omega 1", "selftest"], True),
     ],
 )
 def test_numpy_is_imported_only_where_arrays_are_built(commands, loads_numpy):

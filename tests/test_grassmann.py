@@ -118,9 +118,6 @@ class TestDerivative:
 class TestBerezin:
     """Berezin integration in a generator is the left derivative in it."""
 
-    def test_single_generator(self):
-        assert left_derivative(monomial(REG6, [0]), 0) == one(REG6)
-
     def test_constant_drops(self):
         assert left_derivative(one(REG6), 0).is_zero
 

@@ -8,7 +8,6 @@ import fermiosc
 from fermiosc.oscillator import (
     BoundaryCondition,
     ThermalPoint,
-    closed_form_partition,
     density_matrix,
     hamiltonian,
     ladder_matrices,
@@ -51,7 +50,8 @@ def test_hamiltonian_spectrum(omega):
 @pytest.mark.parametrize(
     "point",
     [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (1.0, math.nan), (1.0, -math.inf),
-     (1.0, math.inf), (1.0, 0.0), (1.0, -1.0), (1.0, 1.0, 0)],
+     (1.0, math.inf), (1.0, 0.0), (1.0, -1.0), (1.0, 1.0, 0), (1.0, 1.0, 9.5),
+     (1.0, 1.0, math.inf), (1.0, 1.0, math.nan)],
 )
 def test_validate_point_refuses(point):
     with pytest.raises(ValueError):
@@ -59,7 +59,7 @@ def test_validate_point_refuses(point):
 
 
 def test_validate_point_accepts_the_domain():
-    for point in [(0.0, 1e-300), (1e300, 1e300), (1.0, 1.0, 1)]:
+    for point in [(0.0, 1e-300), (1e300, 1e300), (1.0, 1.0, 1), (1.0, 1.0, np.int64(8))]:
         validate_point(*point)
 
 
@@ -176,7 +176,6 @@ def test_thermal_point_rejects_inconsistent_record():
 
 def test_oscillator_owns_the_boundary_condition():
     assert fermiosc.path_integral.BoundaryCondition is BoundaryCondition
-    assert fermiosc.path_integral.closed_form_partition is closed_form_partition
 
 
 def test_package_exports_each_name_once():

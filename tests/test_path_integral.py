@@ -8,15 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from fermiosc import path_integral
 from fermiosc.grassmann import GAUSSIAN_CAP, add, monomial, mul, one, register_generators
-from fermiosc.oscillator import thermal_observables
+from fermiosc.oscillator import BoundaryCondition, closed_form_partition, thermal_observables
 from fermiosc.path_integral import (
-    BoundaryCondition,
     DiscretizedChain,
     PropagatorKernel,
     SliceScheme,
     action_matrix,
     close_boundary,
-    closed_form_partition,
     contract_chain,
     kernel_paper_form,
     partition_via_determinant,
@@ -166,7 +164,7 @@ class TestActionMatrix:
         lam = chain.step_coefficient
         assert np.array_equal(np.diag(m), np.ones(4))
         assert np.array_equal(np.diag(m, k=-1), [-lam] * 3)
-        assert m[0, 3] == lam
+        assert m[0][3] == lam
 
     def test_first_order_closed_form(self):
         chain = DiscretizedChain(2, 1.0, 1.0, SliceScheme.FIRST_ORDER)
@@ -195,7 +193,7 @@ def _rel_error(z, want):
 class TestDeterminantRoute:
     """partition_via_determinant evaluates 1 +- lambda^N without a dense matrix."""
 
-    @pytest.mark.parametrize("n_steps", [1, 8, 9, 64, 2048, 10**6])
+    @pytest.mark.parametrize("n_steps", [*range(1, 65), 2048, 10**6])
     def test_exact_scheme_matches_closed_form(self, n_steps):
         for beta_omega in np.geomspace(1e-12, 700.0, 15):
             chain = DiscretizedChain(n_steps, float(beta_omega), 1.0)
@@ -255,6 +253,15 @@ def test_periodic_closed_form_keeps_digits(beta_omega):
     want = Fraction(-math.expm1(-beta_omega))
     assert _rel_error(closed_form_partition(beta_omega, 1.0, P), want) <= 1e-15
     assert _rel_error(thermal_observables(beta_omega, 1.0).z_plus, want) <= 1e-15
+
+
+# the chain forms 1 - lambda^N by subtraction, losing digits at small beta*omega
+@pytest.mark.xfail(reason="ROADMAP item 2")
+@pytest.mark.parametrize("n_steps", [8, 64])
+def test_chain_periodic_value_keeps_digits(n_steps):
+    chain = DiscretizedChain(n_steps, 1e-12, 1.0)
+    want = Fraction(partition_via_determinant(chain, P))
+    assert _rel_error(close_boundary(contract_chain(chain), P), want) <= 1e-15
 
 
 @given(
