@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="inverse temperature (one value%s)" % (" or more" if many else ""))
         sub.add_argument("--omega", type=float, required=True, help="mode frequency")
         if name != "exact":
-            sub.add_argument("--steps", type=int, nargs="+" if many else 1, default=[16],
+            sub.add_argument("--steps", type=int, nargs="+" if many else 1, default=(16,),
                              help="number of imaginary-time slices (default 16)")
             sub.add_argument("--scheme", choices=[s.value for s in SliceScheme],
                              default=SliceScheme.EXACT.value,
@@ -187,16 +187,22 @@ _RUNNERS = {
     "sweep": run_sweep,
 }
 
+# built by the first main() call, not at import, and reused by every later call;
+# parse_args leaves a parser unchanged, so one parser serves any number of calls
+_parser: Optional[argparse.ArgumentParser] = None
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     if args.command == "selftest":
         return run_selftest_command(args)
     try:
         rows = _RUNNERS[args.command](args)
     except ValueError as exc:  # validate_point refused the point, or sweep its step list
-        parser.error(str(exc))
+        _parser.error(str(exc))
     except ArithmeticError as exc:  # the message names the failed check or overflow
         sys.stderr.write("%s\n" % exc)
         return _EXIT_CHECK_FAILED

@@ -144,13 +144,14 @@ def contract_chain(chain: DiscretizedChain) -> PropagatorKernel:
         c, star = _PAIRS[p]
         element = integrate_pair(mul(element, hops[p]), star, c)
     kernel = PropagatorKernel(element)
-    logger.debug(
-        "contracted chain N=%d scheme=%s: coeff_id=%.17g coeff_prop=%.17g",
-        chain.n_steps,
-        chain.scheme.value,
-        kernel.coeff_id,
-        kernel.coeff_prop,
-    )
+    if logger.isEnabledFor(logging.DEBUG):  # the coefficient lookups cost more than the check
+        logger.debug(
+            "contracted chain N=%d scheme=%s: coeff_id=%.17g coeff_prop=%.17g",
+            chain.n_steps,
+            chain.scheme.value,
+            kernel.coeff_id,
+            kernel.coeff_prop,
+        )
     return kernel
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import fermiosc
+import fermiosc.cli as cli
 from fermiosc.cli import ResultRow, emit, main
 from fermiosc.oscillator import BoundaryCondition, closed_form_partition
 from fermiosc.selftest import Invariant
@@ -327,6 +329,49 @@ def test_chain_stdout_matches_golden(capsys, argv):
     assert run_cli(capsys, *argv.split()) == (0, GOLDEN[argv])
 
 
+# inputs that leave main() through parser.error (exit 2) or an overflow (exit 1)
+FAULTS = {
+    "chain --beta -1 --omega 1": 2,
+    "sweep --beta 1 --omega 1 --steps 8 4": 2,
+    "determinant --beta 1e6 --omega 1 --steps 200 --scheme first-order": 1,
+}
+
+
+def exit_code(argv):
+    try:
+        return main(argv.split())
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_reused_parser_keeps_golden_stdout(capsys):
+    entries = list(GOLDEN)
+    faults = list(FAULTS.items())
+    for i, argv in enumerate(entries + entries[::-1]):
+        assert run_cli(capsys, *argv.split()) == (0, GOLDEN[argv]), argv
+        fault, code = faults[i % len(faults)]
+        assert exit_code(fault) == code, fault
+        assert capsys.readouterr().out == ""
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    build = cli.build_parser
+    assert inspect.isfunction(build) and build() is not build()
+    calls = []
+
+    def counting_build():
+        calls.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    for argv in ("exact --beta 1 --omega 1", "chain --beta 1 --omega 1 --steps 8",
+                 "determinant --beta 1 --omega 1 --steps 4", *FAULTS,
+                 "sweep --beta 1 --omega 1 --steps 2 4", "exact --beta 2 --omega 1"):
+        exit_code(argv)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("beta_omega", [1e-12, 1e-6, 1.0, 30.0])
 @pytest.mark.parametrize("bc", [bc.value for bc in BoundaryCondition])
 @pytest.mark.parametrize(
@@ -347,8 +392,10 @@ def test_reference_is_the_closed_form(capsys, command, bc, beta_omega):
 _SRC = str(Path(fermiosc.__file__).resolve().parents[1])
 _NUMPY_PROBE = """
 import sys
+from fermiosc import cli
 from fermiosc.cli import main
 assert "numpy" not in sys.modules, "import fermiosc.cli loaded numpy"
+assert cli._parser is None, "import fermiosc.cli built the parser"
 for argv in sys.argv[1:]:
     assert main(argv.split()) == 0, argv
 print("numpy" in sys.modules)
