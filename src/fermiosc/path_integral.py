@@ -1,8 +1,12 @@
 """Euclidean time-sliced path integral for the fermionic oscillator.
 
-The imaginary-time propagator is built from per-step coherent-state kernels
-1 + lambda * c_k* c_{k-1}, contracted pair by pair with Berezin integration
-into the kernel <c(beta)|e^{-beta H}|c(0)> = 1 + lambda^N c*(beta) c(0).
+The imaginary-time propagator is the N-th power of the one-slice
+coherent-state kernel 1 + lambda c*(beta) c(0) under one composition, which
+relabels the shared time point, weighs it by its measure and integrates it
+out with Berezin integration.  Repeated squaring gives the kernel
+<c(beta)|e^{-beta H}|c(0)> = 1 + lambda^N c*(beta) c(0) in about 2 log2 N
+compositions, with lambda^N held in signed-log form so that it neither
+rounds per step nor cancels when the trace is closed.
 The closure is the coherent-state trace int dc* dc e^{-c* c} K(c*, -+c)
 (Negele & Orland, ch. 1-2): antiperiodic gives the physical partition
 function 1 + e^{-beta*omega}, periodic the graded partition function
@@ -48,13 +52,15 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Every chain lives on these five generators: c(0), the boundary pair and a
-# spare pair, laid out in _PAIRS alone.  Interior time points alternate between the two pairs, and
-# each pair is integrated out before its slot is used again.
+# Every kernel lives on these five generators: c(0), the boundary pair and a
+# spare pair, laid out in _PAIRS alone.  A kernel is 1 + q c*(beta) c(0); a
+# composition moves the shared time point of two kernels to the spare pair and
+# integrates it out there, so kernels of any N need only these five.
 _REGISTRY = register_generators(["c(0)", "c(b)", "c*(b)", "c(t)", "c*(t)"])
 _C0 = 0
 _PAIRS = ((1, 2), (3, 4))  # (c, c*): the boundary pair, then the spare pair
 _CB, _CB_STAR = _PAIRS[0]
+_CT, _CT_STAR = _PAIRS[1]
 # e^{-c* c} = 1 - c* c, the coherent-state measure weight of each pair
 _WEIGHTS = tuple(
     add(one(_REGISTRY), monomial(_REGISTRY, [star, c], -1.0)) for c, star in _PAIRS
@@ -91,13 +97,90 @@ class DiscretizedChain:
         return math.exp(-x)
 
 
+class _SignedLog:
+    """The real number sign * e^log, with log = -inf for zero: the chain's coefficient.
+
+    A product adds logs, so lambda^N is neither rounded once per factor nor
+    overflowed before it is read as a float.  A sum of opposite signs takes
+    log(-expm1(d)), so 1 - lambda^N keeps its digits (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, on expm1 and log1p).  It mixes with
+    the engine's float terms under + and *, and reads as a float.
+    """
+
+    __slots__ = ("sign", "log")
+
+    def __init__(self, sign: int, log: float) -> None:
+        self.sign = sign
+        self.log = log
+
+    def __float__(self) -> float:
+        try:
+            return self.sign * math.exp(self.log)
+        except OverflowError:
+            return self.sign * math.inf
+
+    def __format__(self, spec: str) -> str:
+        return format(float(self), spec)
+
+    def __bool__(self) -> bool:
+        return self.log != -math.inf  # NaN is true, so the engine refuses it
+
+    def __neg__(self) -> _SignedLog:
+        return _SignedLog(-self.sign, self.log)
+
+    def __mul__(self, other) -> _SignedLog:
+        other = _signed_log(other)
+        return _SignedLog(self.sign * other.sign, self.log + other.log)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other) -> _SignedLog:
+        if not other:  # the engine's 0.0 accumulators
+            return self
+        big, small = self, _signed_log(other)
+        if big.log < small.log:
+            big, small = small, big
+        if not small:
+            return big
+        d = small.log - big.log
+        if big.sign == small.sign:
+            return _SignedLog(big.sign, big.log + math.log1p(math.exp(d)))
+        if not d:
+            return _SignedLog(1, -math.inf)
+        return _SignedLog(big.sign, big.log + math.log(-math.expm1(d)))
+
+    __radd__ = __add__
+
+
+def _signed_log(x) -> _SignedLog:
+    if type(x) is _SignedLog:
+        return x
+    return _SignedLog(-1 if x < 0 else 1, math.log(abs(x)) if x else -math.inf)
+
+
+def _log_step(chain: DiscretizedChain) -> tuple[int, float]:
+    """(sign, log|lambda|) of the step coefficient, from x = epsilon*omega.
+
+    -x for the exact scheme; log1p(-x) or log(x - 1) for first order, whose
+    lambda = 1 - x is 0 at x = 1 (log -inf) and negative above it.
+    """
+    x = chain.epsilon * chain.omega
+    if chain.scheme is SliceScheme.EXACT:
+        return 1, -x
+    if x < 1.0:
+        return 1, math.log1p(-x)
+    if x > 1.0:
+        return -1, math.log(x - 1.0)
+    return 1, -math.inf
+
+
 @dataclass(frozen=True)
 class PropagatorKernel:
     """The kernel <c(beta)|e^{-beta H}|c(0)> = coeff_id + coeff_prop c*(beta) c(0).
 
     The one check of the kernel's shape: ``element`` must live on the
     module's fixed registry and hold no monomial but 1 and c*(beta) c(0);
-    both coefficients are read from it.
+    both coefficients are read from it as floats.
     """
 
     element: GrassmannElement
@@ -111,38 +194,48 @@ class PropagatorKernel:
 
     @property
     def coeff_id(self) -> float:
-        return self.element.scalar_part()
+        return float(self.element.scalar_part())
 
     @property
     def coeff_prop(self) -> float:
         """Coefficient of c*(beta) c(0) in that written order."""
-        return coefficient(self.element, [_CB_STAR, _C0])
+        return float(coefficient(self.element, [_CB_STAR, _C0]))
 
 
-def _slice_kernel(lam: float, star: int, c: int) -> GrassmannElement:
-    """1 + lambda c_k* c_{k-1}, with c_k* and c_{k-1} at the given generators."""
-    return add(one(_REGISTRY), monomial(_REGISTRY, [star, c], lam))
+def _kernel(q) -> GrassmannElement:
+    """1 + q c*(beta) c(0)."""
+    return add(one(_REGISTRY), monomial(_REGISTRY, [_CB_STAR, _C0], q))
+
+
+def _compose(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
+    """The kernel of a, then b: int dc_t* dc_t e^{-c_t* c_t} b(c*(beta), c_t) a(c_t*, c(0)).
+
+    The shared time point c_t is relabelled onto the spare pair, weighed by
+    its coherent-state measure and integrated out (Negele & Orland, ch. 1,
+    the resolution of the identity), so 1 + p c*(beta) c(0) and
+    1 + q c*(beta) c(0) compose to 1 + pq c*(beta) c(0).
+    """
+    first = substitute(a, _CB_STAR, _CT_STAR)
+    second = substitute(b, _C0, _CT)
+    return integrate_pair(mul(mul(first, _WEIGHTS[1]), second), _CT_STAR, _CT)
 
 
 def contract_chain(chain: DiscretizedChain) -> PropagatorKernel:
-    """Multiply the slice kernels and integrate out every interior pair.
+    """The N-slice kernel: the N-th power of the slice kernel under ``_compose``.
 
-    Time point k sits in pair (N - k) % 2, so c_N = c(beta) ends in the
-    boundary pair.  Pairs are weighed by e^{-c_k* c_k} and integrated out
-    eagerly in ascending time order, so a chain of any length needs only
-    the five generators of the fixed registry.  The result is
-    1 + lambda^N c*(beta) c(0).
+    The semigroup law e^{-(a+b)H} = e^{-aH} e^{-bH} holds for the kernels,
+    so repeated squaring takes at most 2 floor(log2 N) compositions.  The
+    coefficient is a signed log throughout, so the result
+    1 + lambda^N c*(beta) c(0) carries lambda^N without per-step rounding.
     """
-    lam = chain.step_coefficient
     n = chain.n_steps
-    element = _slice_kernel(lam, _PAIRS[(n - 1) % 2][1], _C0)
-    # hops[p] carries c_{k-1} in pair p to c_k in the other pair; it is weighed
-    # by pair p's measure here, once, since mul is associative
-    hops = [mul(_slice_kernel(lam, _PAIRS[1 - p][1], _PAIRS[p][0]), _WEIGHTS[p]) for p in (0, 1)]
-    for k in range(2, n + 1):
-        p = (n - k + 1) % 2
-        c, star = _PAIRS[p]
-        element = integrate_pair(mul(element, hops[p]), star, c)
+    power = _kernel(_SignedLog(*_log_step(chain)))  # the slice kernel to the 2^i
+    element = power if n & 1 else None
+    while n > 1:
+        n >>= 1
+        power = _compose(power, power)
+        if n & 1:
+            element = power if element is None else _compose(element, power)
     kernel = PropagatorKernel(element)
     if logger.isEnabledFor(logging.DEBUG):  # the coefficient lookups cost more than the check
         logger.debug(
@@ -162,8 +255,7 @@ def kernel_paper_form(beta: float, omega: float) -> PropagatorKernel:
     exponent squares to zero, so the expansion stops at first order.
     """
     validate_point(beta, omega)
-    element = _slice_kernel(math.exp(-beta * omega), _CB_STAR, _C0)
-    return PropagatorKernel(element)
+    return PropagatorKernel(_kernel(math.exp(-beta * omega)))
 
 
 def close_boundary(kernel: PropagatorKernel, bc: BoundaryCondition) -> float:
@@ -176,7 +268,7 @@ def close_boundary(kernel: PropagatorKernel, bc: BoundaryCondition) -> float:
     """
     factor = -1.0 if bc is BoundaryCondition.ANTIPERIODIC else 1.0
     closed = substitute(kernel.element, _C0, _CB, factor)
-    return integrate_pair(mul(closed, _WEIGHTS[0]), _CB_STAR, _CB).scalar_part()
+    return float(integrate_pair(mul(closed, _WEIGHTS[0]), _CB_STAR, _CB).scalar_part())
 
 
 def action_matrix(chain: DiscretizedChain, bc: BoundaryCondition) -> list[list[float]]:
@@ -199,15 +291,14 @@ def _one_plus(chain: DiscretizedChain, sign: float) -> float:
     cancel.  A first-order lambda that holds 1 - x exactly is powered
     directly, so dyadic values stay exact, unless the sum would cancel.
     """
-    n, x, lam = chain.n_steps, chain.epsilon * chain.omega, chain.step_coefficient
-    if chain.scheme is SliceScheme.EXACT:
-        log_abs = -x
-    else:
+    n = chain.n_steps
+    if chain.scheme is SliceScheme.FIRST_ORDER:
+        lam = chain.step_coefficient
         term = sign * lam**n
-        if 1.0 - lam == x and not -2.0 < term < -0.5:
+        if 1.0 - lam == chain.epsilon * chain.omega and not -2.0 < term < -0.5:
             return 1.0 + term
-        log_abs = math.log1p(-x) if x < 1.0 else math.log(x - 1.0)
-    if (lam < 0.0 and n % 2 == 1) == (sign > 0.0):
+    step_sign, log_abs = _log_step(chain)
+    if (step_sign < 0 and n % 2 == 1) == (sign > 0.0):
         return -math.expm1(n * log_abs) + 0.0  # + 0.0: never -0.0
     return 1.0 + math.exp(n * log_abs)
 

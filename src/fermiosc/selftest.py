@@ -38,6 +38,7 @@ from .oscillator import (
 from .path_integral import (
     DiscretizedChain,
     SliceScheme,
+    _log_step,
     action_matrix,
     close_boundary,
     contract_chain,
@@ -219,13 +220,18 @@ def _chain_coefficient(n_steps: int) -> float:
 
 
 def _interior_contraction(point) -> float:
-    """Integrating out the interior pairs leaves exactly 1 + lambda^N c*(beta) c(0)."""
+    """Integrating out the interior pairs leaves exactly 1 + lambda^N c*(beta) c(0).
+
+    lambda^N is the signed-log value sign^N e^{N log|lambda|}, from the step
+    log the chain uses.
+    """
     chain = DiscretizedChain(*point)
     kernel = contract_chain(chain)
+    sign, log_abs = _log_step(chain)
     return max(
         abs(len(kernel.element.terms) - 2),
         abs(kernel.coeff_id - 1.0),
-        abs(kernel.coeff_prop - chain.step_coefficient**chain.n_steps),
+        abs(kernel.coeff_prop - sign**chain.n_steps * math.exp(chain.n_steps * log_abs)),
     )
 
 

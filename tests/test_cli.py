@@ -259,19 +259,19 @@ GOLDEN = {
         '{"route": "chain", "beta": 0.0001, "omega": 0.5, "n_steps": 1, "bc": "antiperiodic", '
         '"z_value": 1.9999500012499791, "reference_z": 1.9999500012499791, "abs_error": 0.0}\n'
         '{"route": "chain", "beta": 0.0001, "omega": 0.5, "n_steps": 1, "bc": "periodic", '
-        '"z_value": 4.999875002087428e-05, "reference_z": 4.9998750020833077e-05, '
-        '"abs_error": 4.12064588180272e-17}\n',
+        '"z_value": 4.9998750020833104e-05, "reference_z": 4.9998750020833077e-05, '
+        '"abs_error": 2.710505431213761e-20}\n',
     "chain --beta 1e-4 --omega 2 --steps 64 --scheme first-order":
         '{"route": "chain", "beta": 0.0001, "omega": 2.0, "n_steps": 64, "bc": "antiperiodic", '
-        '"z_value": 1.9998000196862291, "reference_z": 1.9998000199986667, '
-        '"abs_error": 3.12437631322382e-10}\n'
+        '"z_value": 1.9998000196862284, "reference_z": 1.9998000199986667, '
+        '"abs_error": 3.124382974561968e-10}\n'
         '{"route": "chain", "beta": 0.0001, "omega": 2.0, "n_steps": 64, "bc": "periodic", '
-        '"z_value": 0.00019998031377077563, "reference_z": 0.0001999800013332667, '
-        '"abs_error": 3.124375089430618e-10}\n',
+        '"z_value": 0.00019998031377142393, "reference_z": 0.0001999800013332667, '
+        '"abs_error": 3.124381572417508e-10}\n',
     "chain --beta 30 --omega 2 --steps 7 --scheme first-order --format csv":
         "route,beta,omega,n_steps,bc,z_value,reference_z,abs_error\n"
-        "chain,30,2,7,antiperiodic,-1426410.4197279315,1,1426411.4197279315\n"
-        "chain,30,2,7,periodic,1426412.4197279315,1,1426411.4197279315\n",
+        "chain,30,2,7,antiperiodic,-1426410.4197279299,1,1426411.4197279299\n"
+        "chain,30,2,7,periodic,1426412.4197279308,1,1426411.4197279308\n",
     "chain --beta 30 --omega 1 --steps 64 --scheme exact --format csv":
         "route,beta,omega,n_steps,bc,z_value,reference_z,abs_error\n"
         "chain,30,1,64,antiperiodic,1.0000000000000935,1.0000000000000935,0\n"
@@ -405,11 +405,11 @@ print("numpy" in sys.modules)
 @pytest.mark.parametrize(
     "commands, loads_numpy",
     [
-        # routes that build no array: the chain, and the determinant and sweep on
-        # both sides of GAUSSIAN_CAP, whose cross-check takes the action matrix as rows
-        (["chain --beta 1 --omega 1 --steps 32", "determinant --beta 1 --omega 1 --steps 8",
-          "determinant --beta 1 --omega 1 --steps 9", "sweep --beta 1 --omega 1 --steps 1 8",
-          "sweep --beta 1 --omega 1 --steps 9 20"], False),
+        # routes that build no array: the chain at any N, and the determinant and sweep
+        # on both sides of GAUSSIAN_CAP, whose cross-check takes the action matrix as rows
+        (["chain --beta 1 --omega 1 --steps 32", "chain --beta 1e-12 --omega 1 --steps 1000000",
+          "determinant --beta 1 --omega 1 --steps 8", "determinant --beta 1 --omega 1 --steps 9",
+          "sweep --beta 1 --omega 1 --steps 1 8", "sweep --beta 1 --omega 1 --steps 9 20"], False),
         # the 2x2 oracle and the catalogue
         (["exact --beta 1 --omega 1", "selftest"], True),
     ],

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 from fractions import Fraction
@@ -29,6 +30,14 @@ C0, CB_STAR, CT = (REGISTRY.labels.index(label) for label in ("c(0)", "c*(b)", "
 def boundary_kernel(q):
     """1 + q c*(beta) c(0) on the chain registry."""
     return PropagatorKernel(add(one(REGISTRY), monomial(REGISTRY, [CB_STAR, C0], q)))
+
+
+def _rel_error(z, want):
+    return abs(Fraction(z) - want) / abs(want)
+
+
+# relative accuracy of the chain route against the determinant route
+CHAIN_BOUND = {SliceScheme.EXACT: 1e-15, SliceScheme.FIRST_ORDER: 1e-14}
 
 
 class TestDiscretizedChain:
@@ -81,18 +90,35 @@ class TestContractChain:
         kernel = contract_chain(DiscretizedChain(n_steps, 1.0, 1.0))
         assert kernel.coeff_prop == pytest.approx(math.exp(-1.0), abs=1e-13)
 
+    def test_prints_like_the_paper_form(self):
+        chain_kernel = contract_chain(DiscretizedChain(4, 1.0, 1.0)).element
+        assert repr(chain_kernel) == repr(kernel_paper_form(1.0, 1.0).element)
+
     def test_logs_extracted_coefficients(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="fermiosc.path_integral"):
             contract_chain(DiscretizedChain(4, 1.0, 1.0))
         assert any("coeff_prop" in record.message for record in caplog.records)
 
     def test_ten_thousand_steps_match_closed_form(self):
-        for scheme in SliceScheme:
-            chain = DiscretizedChain(10**4, 1.0, 1.0, scheme)
+        for n_steps, scheme in itertools.product((10**4, 10**6), SliceScheme):
+            chain = DiscretizedChain(n_steps, 1.0, 1.0, scheme)
             kernel = contract_chain(chain)
-            lam_n = chain.step_coefficient**chain.n_steps
-            assert close_boundary(kernel, AP) == pytest.approx(1.0 + lam_n, rel=1e-11)
-            assert close_boundary(kernel, P) == pytest.approx(1.0 - lam_n, rel=1e-11)
+            for bc in (AP, P):
+                want = Fraction(partition_via_determinant(chain, bc))
+                assert _rel_error(close_boundary(kernel, bc), want) <= CHAIN_BOUND[scheme]
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 7, 64, 10**6])
+    def test_compositions_grow_with_log_steps(self, monkeypatch, n_steps):
+        compose = path_integral._compose
+        calls = []
+
+        def counting(a, b):
+            calls.append(None)
+            return compose(a, b)
+
+        monkeypatch.setattr(path_integral, "_compose", counting)
+        contract_chain(DiscretizedChain(n_steps, 1.0, 1.0))
+        assert len(calls) <= 2 * (n_steps.bit_length() - 1)
 
 
 @pytest.mark.parametrize(
@@ -186,10 +212,6 @@ class TestActionMatrix:
         assert partition_via_determinant(chain, P) == 0.68359375
 
 
-def _rel_error(z, want):
-    return abs(Fraction(z) - want) / abs(want)
-
-
 class TestDeterminantRoute:
     """partition_via_determinant evaluates 1 +- lambda^N without a dense matrix."""
 
@@ -255,13 +277,25 @@ def test_periodic_closed_form_keeps_digits(beta_omega):
     assert _rel_error(thermal_observables(beta_omega, 1.0).z_plus, want) <= 1e-15
 
 
-# the chain forms 1 - lambda^N by subtraction, losing digits at small beta*omega
-@pytest.mark.xfail(reason="ROADMAP item 2")
-@pytest.mark.parametrize("n_steps", [8, 64])
-def test_chain_periodic_value_keeps_digits(n_steps):
-    chain = DiscretizedChain(n_steps, 1e-12, 1.0)
+# the chain closes 1 - lambda^N in signed-log form, so it keeps its digits at
+# small beta*omega where a float lambda^N would cancel (or round to 1)
+@pytest.mark.parametrize("scheme", list(SliceScheme))
+@pytest.mark.parametrize("n_steps", [8, 64, 10**4, 10**6])
+def test_chain_periodic_value_keeps_digits(n_steps, scheme):
+    chain = DiscretizedChain(n_steps, 1e-12, 1.0, scheme)
     want = Fraction(partition_via_determinant(chain, P))
-    assert _rel_error(close_boundary(contract_chain(chain), P), want) <= 1e-15
+    assert _rel_error(close_boundary(contract_chain(chain), P), want) <= CHAIN_BOUND[scheme]
+
+
+@pytest.mark.parametrize("scheme", list(SliceScheme))
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 8, 9, 64, 10**3, 10**4, 10**6])
+def test_chain_matches_determinant_over_the_domain(n_steps, scheme):
+    for beta_omega in (1e-12, 1e-6, 0.3, 1.0, 35.5, 700.0):
+        chain = DiscretizedChain(n_steps, beta_omega, 1.0, scheme)
+        kernel = contract_chain(chain)
+        for bc in (AP, P):
+            want = Fraction(partition_via_determinant(chain, bc))
+            assert _rel_error(close_boundary(kernel, bc), want) <= CHAIN_BOUND[scheme]
 
 
 @given(
