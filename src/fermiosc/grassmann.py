@@ -105,18 +105,14 @@ class GrassmannElement:
 
 
 def _build(registry: GeneratorRegistry, terms: dict[int, float]) -> GrassmannElement:
-    """Drop exact zeros only, so no small coefficient is lost; refuse NaN and inf.
-
-    A coefficient is read only through bool() and float(), so a type that
-    mixes with floats under + and * (the chain's signed-log coefficient) is
-    stored as it is.
-    """
+    """Drop exact zeros only, so no small coefficient is lost; refuse NaN and inf."""
     kept = {}
     for mask, coeff in terms.items():
-        if coeff:  # NaN is true, so it reaches the finite test
-            if not math.isfinite(coeff):
-                raise ArithmeticError(f"non-finite coefficient {float(coeff)!r}")
+        size = abs(coeff)
+        if 0.0 < size < math.inf:
             kept[mask] = coeff
+        elif size:  # inf or NaN
+            raise ArithmeticError(f"non-finite coefficient {coeff!r}")
     return GrassmannElement(registry, kept)
 
 
@@ -167,7 +163,7 @@ def monomial(
     mask, sign = _ordered_mask_sign(registry, indices)
     if sign == 0:
         return zero(registry)
-    return _build(registry, {mask: sign * coeff})
+    return _build(registry, {mask: sign * float(coeff)})
 
 
 def coefficient(a: GrassmannElement, indices: Sequence[int]) -> float:

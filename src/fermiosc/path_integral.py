@@ -97,45 +97,50 @@ class DiscretizedChain:
         return math.exp(-x)
 
 
-class _SignedLog:
-    """The real number sign * e^log, with log = -inf for zero: the chain's coefficient.
+class _SignedLog(float):
+    """A float that also carries log|value|: the chain's kernel coefficient.
 
-    A product adds logs, so lambda^N is neither rounded once per factor nor
-    overflowed before it is read as a float.  A sum of opposite signs takes
+    It reads as the float sign * e^log wherever the engine and callers read
+    a coefficient (compared, subtracted, printed, tested for zero and
+    finiteness), which is 0.0 once e^log underflows and +-inf once it
+    overflows, as a float product would be.  Only a product or sum of two
+    coefficients is taken on the logs: a product adds them, so lambda^N is
+    not rounded once per factor, and a sum of opposite signs takes
     log(-expm1(d)), so 1 - lambda^N keeps its digits (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, on expm1 and log1p).  It mixes with
-    the engine's float terms under + and *, and reads as a float.
+    Stability of Numerical Algorithms*, on expm1 and log1p).
     """
 
-    __slots__ = ("sign", "log")
+    __slots__ = ("log",)
 
-    def __init__(self, sign: int, log: float) -> None:
-        self.sign = sign
-        self.log = log
-
-    def __float__(self) -> float:
+    def __new__(cls, sign: float, log: float) -> _SignedLog:
         try:
-            return self.sign * math.exp(self.log)
+            size = math.exp(log)
         except OverflowError:
-            return self.sign * math.inf
+            size = math.inf
+        self = super().__new__(cls, math.copysign(size, sign))
+        self.log = log
+        return self
 
-    def __format__(self, spec: str) -> str:
-        return format(float(self), spec)
-
-    def __bool__(self) -> bool:
-        return self.log != -math.inf  # NaN is true, so the engine refuses it
+    def __getnewargs__(self) -> tuple[float, float]:  # so copy and pickle rebuild it
+        return math.copysign(1.0, self), self.log
 
     def __neg__(self) -> _SignedLog:
-        return _SignedLog(-self.sign, self.log)
+        return _SignedLog(-math.copysign(1.0, self), self.log)
 
     def __mul__(self, other) -> _SignedLog:
-        other = _signed_log(other)
-        return _SignedLog(self.sign * other.sign, self.log + other.log)
+        if type(other) is not _SignedLog:
+            if other == 1:  # the engine's signs and weights: no log to take
+                return self
+            if other == -1:
+                return -self
+            other = _signed_log(other)
+        sign = math.copysign(1.0, self) * math.copysign(1.0, other)
+        return _SignedLog(sign, self.log + other.log)
 
     __rmul__ = __mul__
 
     def __add__(self, other) -> _SignedLog:
-        if not other:  # the engine's 0.0 accumulators
+        if not other:  # the engine's 0.0 accumulators, or an underflowed term
             return self
         big, small = self, _signed_log(other)
         if big.log < small.log:
@@ -143,11 +148,11 @@ class _SignedLog:
         if not small:
             return big
         d = small.log - big.log
-        if big.sign == small.sign:
-            return _SignedLog(big.sign, big.log + math.log1p(math.exp(d)))
+        if (big < 0.0) == (small < 0.0):
+            return _SignedLog(big, big.log + math.log1p(math.exp(d)))
         if not d:
-            return _SignedLog(1, -math.inf)
-        return _SignedLog(big.sign, big.log + math.log(-math.expm1(d)))
+            return _SignedLog(1.0, -math.inf)
+        return _SignedLog(big, big.log + math.log(-math.expm1(d)))
 
     __radd__ = __add__
 
@@ -155,7 +160,7 @@ class _SignedLog:
 def _signed_log(x) -> _SignedLog:
     if type(x) is _SignedLog:
         return x
-    return _SignedLog(-1 if x < 0 else 1, math.log(abs(x)) if x else -math.inf)
+    return _SignedLog(x, math.log(abs(x)) if x else -math.inf)
 
 
 def _log_step(chain: DiscretizedChain) -> tuple[int, float]:
@@ -203,8 +208,9 @@ class PropagatorKernel:
 
 
 def _kernel(q) -> GrassmannElement:
-    """1 + q c*(beta) c(0)."""
-    return add(one(_REGISTRY), monomial(_REGISTRY, [_CB_STAR, _C0], q))
+    """1 + q c*(beta) c(0); q scales c(0) through ``substitute``, which keeps its type."""
+    hop = substitute(monomial(_REGISTRY, [_CB_STAR, _C0]), _C0, _C0, q)
+    return add(one(_REGISTRY), hop)
 
 
 def _compose(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:

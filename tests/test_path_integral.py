@@ -1,6 +1,8 @@
+import decimal
 import itertools
 import logging
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermiosc import path_integral
-from fermiosc.grassmann import GAUSSIAN_CAP, add, monomial, mul, one, register_generators
+from fermiosc.grassmann import (
+    GAUSSIAN_CAP,
+    add,
+    coefficient,
+    max_coefficient_difference,
+    monomial,
+    mul,
+    one,
+    register_generators,
+)
 from fermiosc.oscillator import BoundaryCondition, closed_form_partition, thermal_observables
 from fermiosc.path_integral import (
     DiscretizedChain,
@@ -38,6 +49,34 @@ def _rel_error(z, want):
 
 # relative accuracy of the chain route against the determinant route
 CHAIN_BOUND = {SliceScheme.EXACT: 1e-15, SliceScheme.FIRST_ORDER: 1e-14}
+# ulps of relative error, per unit of max(1, |log|lambda^N||), that either
+# route may carry against the 50-digit value of the discrete model
+MODEL_ULPS = 16
+
+
+def _discrete_partition(chain, bc):
+    """(Z, log|lambda^N|) of the discrete model in 50-digit decimal arithmetic.
+
+    lambda is 1 - x or e^{-x} on the exact value of the float
+    x = epsilon*omega, so no float step log is shared with either route.
+    """
+    x = decimal.Decimal(chain.epsilon * chain.omega)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        lam = (-x).exp() if chain.scheme is SliceScheme.EXACT else 1 - x
+        power = lam**chain.n_steps
+        z = 1 + power if bc is AP else 1 - power
+        return Fraction(z), float(abs(power).ln()) if power else 0.0
+
+
+def _check_chain_value(chain, kernel, bc):
+    """The chain's closed value against the determinant and the discrete model."""
+    z, det = close_boundary(kernel, bc), partition_via_determinant(chain, bc)
+    assert _rel_error(z, Fraction(det)) <= CHAIN_BOUND[chain.scheme]
+    want, log_power = _discrete_partition(chain, bc)
+    bound = MODEL_ULPS * 2.0**-52 * max(1.0, abs(log_power))
+    assert _rel_error(z, want) <= bound
+    assert _rel_error(det, want) <= bound
 
 
 class TestDiscretizedChain:
@@ -94,6 +133,24 @@ class TestContractChain:
         chain_kernel = contract_chain(DiscretizedChain(4, 1.0, 1.0)).element
         assert repr(chain_kernel) == repr(kernel_paper_form(1.0, 1.0).element)
 
+    def test_coefficients_compare_as_floats(self):
+        chain = DiscretizedChain(4, 1.0, 1.0)
+        element = contract_chain(chain).element
+        assert max_coefficient_difference(element, kernel_paper_form(1.0, 1.0).element) == 0.0
+        assert element == contract_chain(chain).element
+        assert coefficient(element, [CB_STAR, C0]) == math.exp(-1.0)
+
+    def test_pickled_kernel_keeps_its_digits(self):
+        kernel = contract_chain(DiscretizedChain(8, 1e-12, 1.0))
+        copied = pickle.loads(pickle.dumps(kernel))
+        assert copied == kernel
+        assert close_boundary(copied, P) == close_boundary(kernel, P)
+
+    def test_underflowed_coefficient_is_dropped(self):
+        kernel = contract_chain(DiscretizedChain(8, 800.0, 1.0))
+        assert list(kernel.element.terms) == [0]
+        assert kernel.coeff_prop == 0.0
+
     def test_logs_extracted_coefficients(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="fermiosc.path_integral"):
             contract_chain(DiscretizedChain(4, 1.0, 1.0))
@@ -104,8 +161,7 @@ class TestContractChain:
             chain = DiscretizedChain(n_steps, 1.0, 1.0, scheme)
             kernel = contract_chain(chain)
             for bc in (AP, P):
-                want = Fraction(partition_via_determinant(chain, bc))
-                assert _rel_error(close_boundary(kernel, bc), want) <= CHAIN_BOUND[scheme]
+                _check_chain_value(chain, kernel, bc)
 
     @pytest.mark.parametrize("n_steps", [1, 2, 7, 64, 10**6])
     def test_compositions_grow_with_log_steps(self, monkeypatch, n_steps):
@@ -283,8 +339,7 @@ def test_periodic_closed_form_keeps_digits(beta_omega):
 @pytest.mark.parametrize("n_steps", [8, 64, 10**4, 10**6])
 def test_chain_periodic_value_keeps_digits(n_steps, scheme):
     chain = DiscretizedChain(n_steps, 1e-12, 1.0, scheme)
-    want = Fraction(partition_via_determinant(chain, P))
-    assert _rel_error(close_boundary(contract_chain(chain), P), want) <= CHAIN_BOUND[scheme]
+    _check_chain_value(chain, contract_chain(chain), P)
 
 
 @pytest.mark.parametrize("scheme", list(SliceScheme))
@@ -294,8 +349,7 @@ def test_chain_matches_determinant_over_the_domain(n_steps, scheme):
         chain = DiscretizedChain(n_steps, beta_omega, 1.0, scheme)
         kernel = contract_chain(chain)
         for bc in (AP, P):
-            want = Fraction(partition_via_determinant(chain, bc))
-            assert _rel_error(close_boundary(kernel, bc), want) <= CHAIN_BOUND[scheme]
+            _check_chain_value(chain, kernel, bc)
 
 
 @given(
