@@ -47,7 +47,8 @@ def validate_point(beta: float, omega: float, n_steps: int | None = None) -> Non
     """Refuse a (beta, omega, N) point outside the physical domain.
 
     beta must be finite and nonnegative, omega finite and positive, and
-    n_steps, when given, an integer >= 1; anything else raises ValueError.
+    n_steps, when given, an integer >= 1 that a float can hold; anything
+    else raises ValueError.
     """
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
@@ -60,6 +61,10 @@ def validate_point(beta: float, omega: float, n_steps: int | None = None) -> Non
             raise ValueError(f"n_steps must be an integer, got {n_steps!r}") from None
         if n_steps < 1:
             raise ValueError(f"n_steps must be at least 1, got {n_steps!r}")
+        try:
+            float(n_steps)  # epsilon = beta / N needs N as a float
+        except OverflowError:
+            raise ValueError("n_steps must be within the float range") from None
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Each entry has a grid of points, a tolerance and a function that returns
 the defect at one point; it passes when the worst defect over its grid is
 within the tolerance.  Randomized entries seed one generator per draw from
 the entry name and the draw index, so every entry gives the same result
-alone or in any order.
+alone or in any order.  Route accuracy is stated once, in the entry
+``route-relative-accuracy``: every route against one 50-digit model.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .oscillator import (
 from .path_integral import (
     DiscretizedChain,
     SliceScheme,
-    _log_step,
     action_matrix,
     close_boundary,
     contract_chain,
@@ -189,15 +189,6 @@ def _mean_energy_derivative(point, step: float = 1e-5) -> float:
     return abs(thermal_observables(beta, omega).mean_energy + (up - down) / (2.0 * step))
 
 
-def _route_equivalence(point) -> float:
-    chain = DiscretizedChain(*point)
-    kernel = contract_chain(chain)
-    return max(
-        abs(close_boundary(kernel, bc) - partition_via_determinant(chain, bc))
-        for bc in BoundaryCondition
-    )
-
-
 def _graded_duality(point) -> float:
     beta, omega = point
     z_plus = oracle_partition(beta, omega, _P)
@@ -206,33 +197,41 @@ def _graded_duality(point) -> float:
     return abs(z_plus * bosonic - 1.0)
 
 
-def _chain_coefficient(n_steps: int) -> float:
-    """contract_chain gives coeff_id = 1 exactly and coeff_prop = lambda^N, both schemes."""
-    worst = 0.0
-    for scheme in SliceScheme:
-        chain = DiscretizedChain(n_steps, 1.0, 1.0, scheme)
-        kernel = contract_chain(chain)
-        if kernel.coeff_id != 1.0:
-            return math.inf
-        prop = chain.step_coefficient**n_steps
-        worst = max(worst, abs(kernel.coeff_prop - prop) / (abs(prop) or 1.0))
-    return worst
+def _route_accuracy(point) -> float:
+    """Each route's worst relative error against a 50-digit model, over the route's bound.
 
-
-def _interior_contraction(point) -> float:
-    """Integrating out the interior pairs leaves exactly 1 + lambda^N c*(beta) c(0).
-
-    lambda^N is the signed-log value sign^N e^{N log|lambda|}, from the step
-    log the chain uses.
+    The model is lambda^N, lambda = e^{-x} or 1 - x on the exact double
+    x = epsilon*omega, so it shares no float step log with a route; at N = 1
+    in the exact scheme x is beta*omega, so 1 +- lambda is also the oracle's
+    and ``closed_form_partition``'s Z-+.  Bounds: 1e-15 (determinant,
+    oracle, closed form, exact-scheme chain), min(1e-14, 16 ulp * L)
+    (first-order chain) and 4 ulp * L (``coeff_prop``), L = max(1, |ln
+    lambda^N|); errors are relative to at least 2^-1022, for an underflowed
+    lambda^N.  ``coeff_id`` must be 1.0 exactly.
     """
+    import decimal
+
     chain = DiscretizedChain(*point)
     kernel = contract_chain(chain)
-    sign, log_abs = _log_step(chain)
-    return max(
-        abs(len(kernel.element.terms) - 2),
-        abs(kernel.coeff_id - 1.0),
-        abs(kernel.coeff_prop - sign**chain.n_steps * math.exp(chain.n_steps * log_abs)),
-    )
+    if kernel.coeff_id != 1.0:
+        return math.inf
+    exact = chain.scheme is SliceScheme.EXACT
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        x = decimal.Decimal(chain.epsilon * chain.omega)
+        power = ((-x).exp() if exact else 1 - x) ** chain.n_steps
+        floor = decimal.Decimal(2.0**-1022)
+        scaled_ulp = 2.0**-52 * max(1.0, abs(math.log(max(abs(power), floor))))
+        chain_bound = 1e-15 if exact else min(1e-14, 16 * scaled_ulp)
+        checks = [(kernel.coeff_prop, power, 4 * scaled_ulp)]
+        for bc, z in ((_AP, 1 + power), (_P, 1 - power)):
+            checks += [(close_boundary(kernel, bc), z, chain_bound),
+                       (partition_via_determinant(chain, bc), z, 1e-15)]
+            if exact and chain.n_steps == 1:
+                checks += [(oracle_partition(chain.beta, chain.omega, bc), z, 1e-15),
+                           (closed_form_partition(chain.beta, chain.omega, bc), z, 1e-15)]
+        return max(float(abs(decimal.Decimal(got) - want) / max(abs(want), floor)) / bound
+                   for got, want, bound in checks)
 
 
 def _halving_defect(bc: BoundaryCondition) -> float:
@@ -248,6 +247,14 @@ _ACTION_GRID = tuple(
     (n, b, w, s, bc) for b, w in _ACTION_POINTS for s in SliceScheme
     for n in range(1, GAUSSIAN_CAP + 1) for bc in BoundaryCondition
 )
+
+# N x beta*omega x scheme with omega cycling, then _GRID as N = 1 exact-scheme points
+_ACCURACY_GRID = tuple(
+    (n, bw / w, w, s) for (n, bw, s), w in zip(
+        itertools.product((1, 2, 3, 7, 8, 9, 64, 10**4, 10**6),
+                          (1e-12, 1e-6, 0.3, 1.0, 35.5, 700.0), SliceScheme),
+        itertools.cycle(_OMEGAS))
+) + tuple((1, b, w, SliceScheme.EXACT) for b, w in _GRID)
 
 INVARIANTS = (
     Invariant("generator-anticommutation", "|g_i g_j + g_j g_i|",
@@ -266,12 +273,6 @@ INVARIANTS = (
     Invariant("canonical-anticommutation", "|{c, c+} - 1|, |c c|, |c+ c+|", _ONCE, 0.0,
               _canonical_anticommutation),
     Invariant("density-matrix-spectrum", "eigenvalue deviation", _GRID, 1e-12, _density_spectrum),
-    Invariant("partition-closed-form", "relative |Tr rho - (1 + e^-bw)|", _GRID, 1e-15,
-              lambda p: _rel(oracle_partition(*p, _AP), closed_form_partition(*p, _AP))),
-    Invariant("supertrace-closed-form", "relative |Str rho - (1 - e^-bw)|", _GRID, 1e-14,
-              lambda p: _rel(oracle_partition(*p, _P), closed_form_partition(*p, _P))),
-    Invariant("trace-supertrace-sum", "|Tr rho + Str rho - 2|", _GRID, 1e-14,
-              lambda p: abs(oracle_partition(*p, _AP) + oracle_partition(*p, _P) - 2.0)),
     Invariant("density-semigroup", "entrywise semigroup defect",
               tuple(itertools.product(_BETAS + (5.0,), _BETAS + (5.0,), _OMEGAS)), 1e-14,
               _density_semigroup),
@@ -279,9 +280,8 @@ INVARIANTS = (
               _mean_energy_derivative),
     Invariant("entropy-high-temperature-limit", "|S(beta=1e-4) - ln 2|", _ONCE, 1e-6,
               lambda _: abs(thermal_observables(1e-4, 1.0).entropy - math.log(2.0))),
-    Invariant("route-equivalence", "|chain route - determinant route|",
-              tuple(itertools.product((1, 2, 4, 8), _BETAS, _OMEGAS, SliceScheme)), 1e-10,
-              _route_equivalence),
+    Invariant("route-relative-accuracy", "route error over its bound", _ACCURACY_GRID, 1.0,
+              _route_accuracy),
     Invariant("antiperiodic-matches-trace", "relative closure/trace mismatch", _GRID, 1e-12,
               lambda p: _rel(close_boundary(kernel_paper_form(*p), _AP),
                              oracle_partition(*p, _AP))),
@@ -290,11 +290,6 @@ INVARIANTS = (
                                     oracle_partition(*p, _P))),
     Invariant("graded-partition-duality", "|Z+ * sum_n e^(-bwn) - 1|", _GRID, 1e-12,
               _graded_duality),
-    Invariant("chain-coefficient-exactness", "coefficient defect", range(1, 65), 1e-13,
-              _chain_coefficient),
-    Invariant("interior-contraction-form", "stray or wrong coefficient",
-              ((2, 2.0, 0.25, SliceScheme.FIRST_ORDER), (3, 3.0, 1.0, SliceScheme.EXACT)),
-              0.0, _interior_contraction),
     Invariant("action-matrix-routes", "|integral - det| over action matrices", _ACTION_GRID,
               1e-10, lambda p: _integral_vs_det(action_matrix(DiscretizedChain(*p[:4]), p[4]))),
     Invariant("step-count-convergence", "|error ratio - 2| per doubling", (_AP, _P), 0.2,

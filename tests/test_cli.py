@@ -172,6 +172,7 @@ def test_allow_beta_zero_is_an_ignored_flag(capsys):
         "sweep --beta 1 -1 --omega 1",
         "chain --beta 1 --omega 0",
         "chain --beta 1 --omega 1 --steps 0",
+        "chain --beta 1 --omega 1 --steps 1" + "0" * 400,
         "sweep --beta 1 --omega 1 --steps 4 2",
         "sweep --beta 1 --omega 1 --steps 2 2",
     ],
@@ -395,9 +396,12 @@ import sys
 from fermiosc import cli
 from fermiosc.cli import main
 assert "numpy" not in sys.modules, "import fermiosc.cli loaded numpy"
+assert "decimal" not in sys.modules, "import fermiosc.cli loaded decimal"
 assert cli._parser is None, "import fermiosc.cli built the parser"
 for argv in sys.argv[1:]:
     assert main(argv.split()) == 0, argv
+    if argv != "selftest":  # the catalogue's 50-digit reference is the one decimal user
+        assert "decimal" not in sys.modules, argv + " loaded decimal"
 print("numpy" in sys.modules)
 """
 

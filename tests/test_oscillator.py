@@ -51,7 +51,7 @@ def test_hamiltonian_spectrum(omega):
     "point",
     [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (1.0, math.nan), (1.0, -math.inf),
      (1.0, math.inf), (1.0, 0.0), (1.0, -1.0), (1.0, 1.0, 0), (1.0, 1.0, 9.5),
-     (1.0, 1.0, math.inf), (1.0, 1.0, math.nan)],
+     (1.0, 1.0, math.inf), (1.0, 1.0, math.nan), (1.0, 1.0, 10**400)],
 )
 def test_validate_point_refuses(point):
     with pytest.raises(ValueError):
@@ -109,11 +109,11 @@ def test_supertrace_endpoints():
 
 @pytest.mark.parametrize("beta,omega", GRID)
 def test_closed_forms_on_grid(beta, omega):
-    rho = density_matrix(beta, omega)
-    q = math.exp(-beta * omega)
-    assert partition_trace(rho) == pytest.approx(1.0 + q, rel=1e-14)
-    assert supertrace(rho) == pytest.approx(1.0 - q, rel=1e-14)
-    assert partition_trace(rho) + supertrace(rho) == pytest.approx(2.0, abs=1e-14)
+    # Tr rho is the oracle's Z-, held to 1e-15 by catalogue entry route-relative-accuracy;
+    # Str rho is not the oracle's Z+ (that is Str D), so it is checked here
+    assert supertrace(density_matrix(beta, omega)) == pytest.approx(
+        1.0 - math.exp(-beta * omega), rel=1e-14
+    )
 
 
 @given(betas, omegas, betas)

@@ -1,5 +1,3 @@
-import decimal
-import itertools
 import logging
 import math
 import pickle
@@ -47,38 +45,6 @@ def _rel_error(z, want):
     return abs(Fraction(z) - want) / abs(want)
 
 
-# relative accuracy of the chain route against the determinant route
-CHAIN_BOUND = {SliceScheme.EXACT: 1e-15, SliceScheme.FIRST_ORDER: 1e-14}
-# ulps of relative error, per unit of max(1, |log|lambda^N||), that either
-# route may carry against the 50-digit value of the discrete model
-MODEL_ULPS = 16
-
-
-def _discrete_partition(chain, bc):
-    """(Z, log|lambda^N|) of the discrete model in 50-digit decimal arithmetic.
-
-    lambda is 1 - x or e^{-x} on the exact value of the float
-    x = epsilon*omega, so no float step log is shared with either route.
-    """
-    x = decimal.Decimal(chain.epsilon * chain.omega)
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        lam = (-x).exp() if chain.scheme is SliceScheme.EXACT else 1 - x
-        power = lam**chain.n_steps
-        z = 1 + power if bc is AP else 1 - power
-        return Fraction(z), float(abs(power).ln()) if power else 0.0
-
-
-def _check_chain_value(chain, kernel, bc):
-    """The chain's closed value against the determinant and the discrete model."""
-    z, det = close_boundary(kernel, bc), partition_via_determinant(chain, bc)
-    assert _rel_error(z, Fraction(det)) <= CHAIN_BOUND[chain.scheme]
-    want, log_power = _discrete_partition(chain, bc)
-    bound = MODEL_ULPS * 2.0**-52 * max(1.0, abs(log_power))
-    assert _rel_error(z, want) <= bound
-    assert _rel_error(det, want) <= bound
-
-
 class TestDiscretizedChain:
     def test_epsilon_times_steps_recovers_beta(self):
         chain = DiscretizedChain(7, 2.3, 1.0)
@@ -113,22 +79,6 @@ class TestStepKernel:
 
 
 class TestContractChain:
-    def test_single_step_passthrough(self):
-        kernel = contract_chain(DiscretizedChain(1, math.log(2.0), 1.0))
-        assert kernel.coeff_prop == pytest.approx(0.5, rel=1e-15)
-        assert kernel.coeff_id == 1.0
-
-    def test_first_order_two_steps(self):
-        kernel = contract_chain(
-            DiscretizedChain(2, 1.0, 1.0, SliceScheme.FIRST_ORDER)
-        )
-        assert kernel.coeff_prop == pytest.approx(0.25, rel=1e-14)
-
-    @pytest.mark.parametrize("n_steps", [1, 2, 3, 8, 17, 64])
-    def test_exact_scheme_is_step_count_independent(self, n_steps):
-        kernel = contract_chain(DiscretizedChain(n_steps, 1.0, 1.0))
-        assert kernel.coeff_prop == pytest.approx(math.exp(-1.0), abs=1e-13)
-
     def test_prints_like_the_paper_form(self):
         chain_kernel = contract_chain(DiscretizedChain(4, 1.0, 1.0)).element
         assert repr(chain_kernel) == repr(kernel_paper_form(1.0, 1.0).element)
@@ -155,13 +105,6 @@ class TestContractChain:
         with caplog.at_level(logging.DEBUG, logger="fermiosc.path_integral"):
             contract_chain(DiscretizedChain(4, 1.0, 1.0))
         assert any("coeff_prop" in record.message for record in caplog.records)
-
-    def test_ten_thousand_steps_match_closed_form(self):
-        for n_steps, scheme in itertools.product((10**4, 10**6), SliceScheme):
-            chain = DiscretizedChain(n_steps, 1.0, 1.0, scheme)
-            kernel = contract_chain(chain)
-            for bc in (AP, P):
-                _check_chain_value(chain, kernel, bc)
 
     @pytest.mark.parametrize("n_steps", [1, 2, 7, 64, 10**6])
     def test_compositions_grow_with_log_steps(self, monkeypatch, n_steps):
@@ -229,14 +172,6 @@ class TestCloseBoundary:
         kernel = boundary_kernel(q)
         assert close_boundary(kernel, AP) == pytest.approx(1.0 + q, rel=1e-14, abs=1e-14)
         assert close_boundary(kernel, P) == pytest.approx(1.0 - q, rel=1e-14, abs=1e-14)
-
-
-def test_raw_contraction_pins_coefficients():
-    for scheme in SliceScheme:
-        chain = DiscretizedChain(4, 1.0, 1.0, scheme)
-        kernel = contract_chain(chain)
-        assert kernel.coeff_id == 1.0
-        assert kernel.coeff_prop == pytest.approx(chain.step_coefficient**4, rel=1e-14)
 
 
 class TestActionMatrix:
@@ -331,45 +266,3 @@ def test_periodic_closed_form_keeps_digits(beta_omega):
     want = Fraction(-math.expm1(-beta_omega))
     assert _rel_error(closed_form_partition(beta_omega, 1.0, P), want) <= 1e-15
     assert _rel_error(thermal_observables(beta_omega, 1.0).z_plus, want) <= 1e-15
-
-
-# the chain closes 1 - lambda^N in signed-log form, so it keeps its digits at
-# small beta*omega where a float lambda^N would cancel (or round to 1)
-@pytest.mark.parametrize("scheme", list(SliceScheme))
-@pytest.mark.parametrize("n_steps", [8, 64, 10**4, 10**6])
-def test_chain_periodic_value_keeps_digits(n_steps, scheme):
-    chain = DiscretizedChain(n_steps, 1e-12, 1.0, scheme)
-    _check_chain_value(chain, contract_chain(chain), P)
-
-
-@pytest.mark.parametrize("scheme", list(SliceScheme))
-@pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 8, 9, 64, 10**3, 10**4, 10**6])
-def test_chain_matches_determinant_over_the_domain(n_steps, scheme):
-    for beta_omega in (1e-12, 1e-6, 0.3, 1.0, 35.5, 700.0):
-        chain = DiscretizedChain(n_steps, beta_omega, 1.0, scheme)
-        kernel = contract_chain(chain)
-        for bc in (AP, P):
-            _check_chain_value(chain, kernel, bc)
-
-
-@given(
-    st.floats(min_value=0.05, max_value=3.0, allow_nan=False),
-    st.floats(min_value=0.3, max_value=3.0, allow_nan=False),
-    st.integers(min_value=1, max_value=8),
-    st.sampled_from(list(SliceScheme)),
-    st.sampled_from(list(BoundaryCondition)),
-)
-@settings(max_examples=60, deadline=None)
-def test_routes_agree(beta, omega, n_steps, scheme, bc):
-    chain = DiscretizedChain(n_steps, beta, omega, scheme)
-    symbolic = close_boundary(contract_chain(chain), bc)
-    direct = partition_via_determinant(chain, bc)
-    assert abs(symbolic - direct) <= 1e-10
-
-
-@pytest.mark.parametrize("bc", [AP, P])
-@pytest.mark.parametrize("beta,omega", [(0.1, 2.0), (1.0, 1.0), (2.0, 0.5)])
-def test_symbolic_route_matches_closed_form(beta, omega, bc):
-    chain = DiscretizedChain(6, beta, omega)
-    z = close_boundary(contract_chain(chain), bc)
-    assert z == pytest.approx(closed_form_partition(beta, omega, bc), abs=1e-13)
