@@ -79,6 +79,22 @@ class TestStepKernel:
 
 
 class TestContractChain:
+    def test_single_step_passthrough(self):
+        kernel = contract_chain(DiscretizedChain(1, math.log(2.0), 1.0))
+        assert kernel.coeff_prop == pytest.approx(0.5, rel=1e-15)
+        assert kernel.coeff_id == 1.0
+
+    def test_first_order_two_steps(self):
+        kernel = contract_chain(
+            DiscretizedChain(2, 1.0, 1.0, SliceScheme.FIRST_ORDER)
+        )
+        assert kernel.coeff_prop == pytest.approx(0.25, rel=1e-14)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 8, 17, 64])
+    def test_exact_scheme_is_step_count_independent(self, n_steps):
+        kernel = contract_chain(DiscretizedChain(n_steps, 1.0, 1.0))
+        assert kernel.coeff_prop == pytest.approx(math.exp(-1.0), abs=1e-13)
+
     def test_prints_like_the_paper_form(self):
         chain_kernel = contract_chain(DiscretizedChain(4, 1.0, 1.0)).element
         assert repr(chain_kernel) == repr(kernel_paper_form(1.0, 1.0).element)
@@ -174,6 +190,14 @@ class TestCloseBoundary:
         assert close_boundary(kernel, P) == pytest.approx(1.0 - q, rel=1e-14, abs=1e-14)
 
 
+def test_raw_contraction_pins_coefficients():
+    for scheme in SliceScheme:
+        chain = DiscretizedChain(4, 1.0, 1.0, scheme)
+        kernel = contract_chain(chain)
+        assert kernel.coeff_id == 1.0
+        assert kernel.coeff_prop == pytest.approx(chain.step_coefficient**4, rel=1e-14)
+
+
 class TestActionMatrix:
     def test_structure(self):
         chain = DiscretizedChain(4, 1.0, 1.0)
@@ -266,3 +290,27 @@ def test_periodic_closed_form_keeps_digits(beta_omega):
     want = Fraction(-math.expm1(-beta_omega))
     assert _rel_error(closed_form_partition(beta_omega, 1.0, P), want) <= 1e-15
     assert _rel_error(thermal_observables(beta_omega, 1.0).z_plus, want) <= 1e-15
+
+
+# off the catalogue's accuracy grid: random points and N = 6
+@given(
+    st.floats(min_value=0.05, max_value=3.0, allow_nan=False),
+    st.floats(min_value=0.3, max_value=3.0, allow_nan=False),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from(list(SliceScheme)),
+    st.sampled_from(list(BoundaryCondition)),
+)
+@settings(max_examples=60, deadline=None)
+def test_routes_agree(beta, omega, n_steps, scheme, bc):
+    chain = DiscretizedChain(n_steps, beta, omega, scheme)
+    symbolic = close_boundary(contract_chain(chain), bc)
+    direct = partition_via_determinant(chain, bc)
+    assert abs(symbolic - direct) <= 1e-10
+
+
+@pytest.mark.parametrize("bc", [AP, P])
+@pytest.mark.parametrize("beta,omega", [(0.1, 2.0), (1.0, 1.0), (2.0, 0.5)])
+def test_symbolic_route_matches_closed_form(beta, omega, bc):
+    chain = DiscretizedChain(6, beta, omega)
+    z = close_boundary(contract_chain(chain), bc)
+    assert z == pytest.approx(closed_form_partition(beta, omega, bc), abs=1e-13)
