@@ -22,6 +22,8 @@ function; elements may be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -232,9 +234,24 @@ def integrate_pair(a: GrassmannElement, g_star: int, g: int) -> GrassmannElement
 
     Berezin integration in a generator is the left derivative in it.  The
     differential closest to the integrand acts first, so the pair integral
-    of ``c c*`` is 1.
+    of ``c c*`` is 1.  By definition this is the left derivative in ``g``,
+    then in ``g_star``; it is taken in one pass over the monomials that
+    hold both generators, with the sign of the two derivatives, so
+    ``g == g_star`` gives zero.
     """
-    return left_derivative(left_derivative(a, g), g_star)
+    _check_generator(a.registry, g)
+    _check_generator(a.registry, g_star)
+    out: dict[int, float] = {}
+    if g != g_star:
+        both = 1 << g | 1 << g_star
+        # g crosses the generators below it, then g_star those below it but g
+        between = ((1 << g) - 1) ^ ((1 << g_star) - 1)
+        odd = g < g_star
+        for mask, coeff in a.terms.items():
+            if mask & both == both:
+                flip = ((mask & between).bit_count() + odd) & 1
+                out[mask ^ both] = -coeff if flip else coeff
+    return _build(a.registry, out)
 
 
 def substitute(
@@ -264,6 +281,19 @@ def substitute(
     return _build(a.registry, out)
 
 
+# The c1* ... cn* registry of each dimension n <= GAUSSIAN_CAP, built once
+_STAR_REGISTRIES = tuple(
+    register_generators([f"c{i}*" for i in range(1, n + 1)]) for n in range(1, GAUSSIAN_CAP + 1)
+)
+
+
+def _entries(row) -> list:
+    """One matrix row as a list, refusing text, which ``float`` would parse as numbers."""
+    if isinstance(row, (str, bytes, bytearray)):
+        raise TypeError("a text row is no row of numbers")
+    return list(row)
+
+
 def gaussian_integral_expand(m) -> float:
     """Grassmann Gaussian integral of exp(-sum_ij ci* M_ij cj), as det M.
 
@@ -272,26 +302,29 @@ def gaussian_integral_expand(m) -> float:
     leaves psi_j, and the ci* integrals pick the coefficient of
     c1* ... cn* in psi_1 ... psi_n, which is det M (Berezin, *The Method of
     Second Quantization*, 1966).  The product is formed over the n
-    generators ci* alone; after k factors it has at most C(n, k) terms.
-    Intended as the symbolic side of the determinant identity, so n is
-    capped at ``GAUSSIAN_CAP``.
+    generators ci* alone, on one registry per dimension that every call
+    reuses; after k factors it has at most C(n, k) terms.  Intended as the
+    symbolic side of the determinant identity, so n is capped at
+    ``GAUSSIAN_CAP``.  Text is no number: a ``str``, ``bytes`` or
+    ``bytearray`` row or entry is refused.
     """
     try:
-        rows = [[float(x) for x in row] for row in m]
+        raw = [_entries(row) for row in m]
+        # math.isfinite takes numbers only, so this pass also refuses text entries
+        finite = all(map(math.isfinite, itertools.chain.from_iterable(raw)))
     except TypeError:  # a row that is not a sequence, or an entry that is not a number
         raise ValueError("expected a square matrix of numbers") from None
-    n = len(rows)
-    if n < 1 or any(len(row) != n for row in rows):
-        raise ValueError(f"expected a square matrix, got row lengths {[len(r) for r in rows]}")
-    if not all(math.isfinite(x) for row in rows for x in row):
+    n = len(raw)
+    if n < 1 or any(len(row) != n for row in raw):
+        raise ValueError(f"expected a square matrix, got row lengths {[len(r) for r in raw]}")
+    if not finite:
         raise ValueError("matrix entries must be finite")
     if n > GAUSSIAN_CAP:
         raise ValueError(f"dimension {n} exceeds the symbolic expansion cap {GAUSSIAN_CAP}")
-    registry = register_generators([f"c{i}*" for i in range(1, n + 1)])
-    product = one(registry)
-    for j in range(n):
-        psi = _build(registry, {1 << i: rows[i][j] for i in range(n)})
-        product = mul(product, psi)
+    rows = [list(map(float, row)) for row in raw]
+    registry = _STAR_REGISTRIES[n - 1]
+    columns = (_build(registry, {1 << i: rows[i][j] for i in range(n)}) for j in range(n))
+    product = functools.reduce(mul, columns)  # psi_1 starts it: no product with 1
     return product.terms.get((1 << n) - 1, 0.0)
 
 

@@ -124,8 +124,10 @@ class _SignedLog(float):
     def __getnewargs__(self) -> tuple[float, float]:  # so copy and pickle rebuild it
         return math.copysign(1.0, self), self.log
 
-    def __neg__(self) -> _SignedLog:
-        return _SignedLog(-math.copysign(1.0, self), self.log)
+    def __neg__(self) -> _SignedLog:  # the negated float, exactly: no exp to take
+        negated = float.__new__(_SignedLog, -float(self))
+        negated.log = self.log
+        return negated
 
     def __mul__(self, other) -> _SignedLog:
         if type(other) is not _SignedLog:

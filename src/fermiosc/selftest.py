@@ -111,12 +111,12 @@ def _random_elements(
     rng = random.Random("%s:%d" % (name, draw))
     out = []
     for _ in range(count):
-        element = GrassmannElement(_REG6, {})
+        # a mask is the ascending product of its generators, so its sign is +1
+        terms: dict[int, float] = {}
         for _ in range(rng.randint(1, 6)):
             mask = rng.randint(lowest, 63)
-            indices = [i for i in range(6) if mask >> i & 1]
-            element = add(element, monomial(_REG6, indices, rng.uniform(-1.0, 1.0)))
-        out.append(element)
+            terms[mask] = terms.get(mask, 0.0) + rng.uniform(-1.0, 1.0)
+        out.append(GrassmannElement(_REG6, {m: c for m, c in terms.items() if c}))
     return out
 
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -140,6 +142,23 @@ class TestIntegratePair:
     def test_constant_drops(self):
         assert integrate_pair(one(self.REG), 1, 0).is_zero
 
+    @given(elements())
+    @settings(max_examples=100, deadline=None)
+    def test_is_the_left_derivative_in_g_then_g_star(self, a):
+        for g_star, g in itertools.product(range(REG6.size), repeat=2):
+            nested = left_derivative(left_derivative(a, g), g_star)
+            # same monomials, coefficients and order, so later sums round alike
+            assert list(integrate_pair(a, g_star, g).terms.items()) == list(nested.terms.items())
+
+    @pytest.mark.parametrize("g_star, g", [(6, 0), (0, 6), (-1, 7), (2, -1)])
+    def test_out_of_range_generator_message(self, g_star, g):
+        a = monomial(REG6, [0, 1, 2])
+        with pytest.raises(ValueError) as nested:
+            left_derivative(left_derivative(a, g), g_star)
+        with pytest.raises(ValueError) as paired:
+            integrate_pair(a, g_star, g)
+        assert str(paired.value) == str(nested.value)
+
 
 class TestGaussianIntegral:
     def test_one_pair(self):
@@ -167,11 +186,19 @@ class TestGaussianIntegral:
             (np.ones((2, 3)), "square matrix"),
             ([[1.0, math.nan], [0.0, 1.0]], "finite"),
             (np.diag([1.0, math.inf]), "finite"),
+            # float() parses text, but text is no number
+            (["12", "34"], "numbers"),
+            ([["1", "2"], ["3", "4"]], "numbers"),
+            ([b"\x01\x02", b"\x03\x04"], "numbers"),
         ],
     )
     def test_malformed_matrix_rejected(self, m, message):
         with pytest.raises(ValueError, match=message):
             gaussian_integral_expand(m)
+
+    def test_any_number_type_accepted(self):
+        m = [[True, Fraction(1, 2)], [np.float64(3.0), np.int64(2)]]
+        assert gaussian_integral_expand(m) == 0.5
 
 
 class TestSubstitute:

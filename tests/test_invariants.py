@@ -6,10 +6,12 @@ tolerance.
 """
 
 import math
+import random
 
 import pytest
 
-from fermiosc import path_integral
+from fermiosc import path_integral, selftest
+from fermiosc.grassmann import GrassmannElement, add, monomial
 from fermiosc.path_integral import SliceScheme
 from fermiosc.selftest import INVARIANTS, Invariant, run_selftest
 
@@ -40,3 +42,36 @@ def test_route_accuracy_sees_a_skewed_step_log(monkeypatch):
     monkeypatch.setattr(path_integral, "_log_step", skewed)
     results = {result.name: result for result in run_selftest()}
     assert not results["route-relative-accuracy"].passed
+
+
+def _folded_elements(name, draw, count, lowest):
+    """The catalogue's random elements as one add of one monomial per term."""
+    rng = random.Random("%s:%d" % (name, draw))
+    out = []
+    for _ in range(count):
+        element = GrassmannElement(selftest._REG6, {})
+        for _ in range(rng.randint(1, 6)):
+            mask = rng.randint(lowest, 63)
+            indices = [i for i in range(6) if mask >> i & 1]
+            element = add(element, monomial(selftest._REG6, indices, rng.uniform(-1.0, 1.0)))
+        out.append(element)
+    return out
+
+
+# (count, lowest) of each entry's _random_elements call
+_DRAWN = {
+    "constant-free-power-vanishes": (1, 1),
+    "product-associativity": (3, 0),
+    "derivative-squares-to-zero": (1, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DRAWN))
+def test_random_elements_are_the_fold(name):
+    (grid,) = [invariant.grid for invariant in INVARIANTS if invariant.name == name]
+    for draw in grid:
+        built = selftest._random_elements(name, draw, *_DRAWN[name])
+        folded = _folded_elements(name, draw, *_DRAWN[name])
+        assert built == folded
+        # the same order too, so the products sum their terms alike
+        assert [list(a.terms.items()) for a in built] == [list(a.terms.items()) for a in folded]

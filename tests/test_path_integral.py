@@ -1,3 +1,4 @@
+import copy
 import logging
 import math
 import pickle
@@ -134,6 +135,19 @@ class TestContractChain:
         monkeypatch.setattr(path_integral, "_compose", counting)
         contract_chain(DiscretizedChain(n_steps, 1.0, 1.0))
         assert len(calls) <= 2 * (n_steps.bit_length() - 1)
+
+    @pytest.mark.parametrize("scheme", list(SliceScheme))
+    @pytest.mark.parametrize("n_steps", [2, 3, 7, 64, 10**6])
+    def test_coefficient_stays_a_signed_log(self, n_steps, scheme):
+        kernel = contract_chain(DiscretizedChain(n_steps, 1.0, 1.0, scheme))
+        q = kernel.element.terms[1 << CB_STAR | 1 << C0]
+        assert type(q) is path_integral._SignedLog
+        negated = -q
+        assert type(negated) is path_integral._SignedLog and negated.log == q.log
+        assert negated.hex() == (-float(q)).hex()
+        for rebuilt in (copy.copy(q), pickle.loads(pickle.dumps(q))):
+            assert type(rebuilt) is path_integral._SignedLog
+            assert (rebuilt.hex(), rebuilt.log) == (q.hex(), q.log)
 
 
 @pytest.mark.parametrize(
