@@ -1,11 +1,11 @@
 """Grassmann-variable partition functions for a two-level fermionic mode.
 
 The package exposes three layers: a sparse symbolic engine for
-anticommuting generators (`grassmann`), an exact 2x2 operator oracle for
-the single fermionic oscillator (`oscillator`), and a time-sliced
-evaluator that recovers the same partition functions by contracting the
-discretized propagator chain or by reducing its quadratic action to a
-determinant (`path_integral`).
+anticommuting generators (`grassmann`), the 2x2 operator algebra of the
+single fermionic oscillator with its closed-form partition functions
+(`oscillator`), and a time-sliced evaluator that recovers the same
+partition functions by contracting the discretized propagator chain or by
+reducing its quadratic action to a determinant (`path_integral`).
 """
 
 from . import grassmann, oscillator, path_integral, selftest

@@ -1,15 +1,15 @@
 """Batch front end for partition-function computations.
 
-Subcommands pick the route: `exact` reads values off the two-level
-oracle, `chain` contracts the sliced propagator symbolically,
+Subcommands pick the route: `exact` prints the continuum closed form
+1 +- e^{-beta*omega}, `chain` contracts the sliced propagator symbolically,
 `determinant` reduces the discrete action, `sweep` tabulates the
 determinant route over a list of step counts, and `selftest` runs the
 internal invariant checks.  Rows go to standard output as JSON lines or
 CSV; identical invocations produce byte-identical output.
 
-reference_z is `oscillator.closed_form_partition`; `exact` prints
-`oscillator.oracle_partition`.  `oscillator.validate_point` is the one
-domain rule (exit 2); beta = 0 passes it on every route (Z- = 2, Z+ = 0).
+reference_z is `oscillator.closed_form_partition`, which `exact` also
+prints as z_value.  `oscillator.validate_point` is the one domain rule
+(exit 2); beta = 0 passes it on every route (Z- = 2, Z+ = 0).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import sys
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .oscillator import BoundaryCondition, closed_form_partition, oracle_partition
+from .oscillator import BoundaryCondition, closed_form_partition, validate_point
 from .path_integral import (
     DiscretizedChain,
     SliceScheme,
@@ -63,7 +63,7 @@ def _cell(value) -> str:
 def emit(rows: Sequence[ResultRow], format: str) -> str:
     """Render rows as JSON lines or CSV with lossless float formatting.
 
-    A field that is None (the oracle route's n_steps) is left out of the
+    A field that is None (the exact route's n_steps) is left out of the
     JSON object and empty in CSV; a non-finite value raises ValueError.
     """
     if not rows:
@@ -87,7 +87,7 @@ def _boundary_conditions(choice: str) -> Tuple[BoundaryCondition, ...]:
 
 def _row(route: str, beta: float, omega: float, n_steps: Optional[int],
          bc: BoundaryCondition, z_value: float) -> ResultRow:
-    # the stdlib closed form, to which the selftest catalogue pins the oracle
+    # the continuum closed form, which route-relative-accuracy holds to a 50-digit model
     reference = closed_form_partition(beta, omega, bc)
     return ResultRow(
         route, beta, omega, n_steps, bc.value, z_value, reference, abs(z_value - reference)
@@ -97,8 +97,9 @@ def _row(route: str, beta: float, omega: float, n_steps: Optional[int],
 def run_exact(args: argparse.Namespace) -> List[ResultRow]:
     rows = []
     for beta in args.beta:
+        validate_point(beta, args.omega)  # the closed form itself lets NaN through
         for bc in _boundary_conditions(args.bc):
-            z = oracle_partition(beta, args.omega, bc)
+            z = closed_form_partition(beta, args.omega, bc)
             rows.append(_row("exact", beta, args.omega, None, bc, z))
     return rows
 

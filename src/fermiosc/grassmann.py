@@ -311,7 +311,10 @@ def gaussian_integral_expand(m) -> float:
     try:
         raw = [_entries(row) for row in m]
         # math.isfinite takes numbers only, so this pass also refuses text entries
-        finite = all(map(math.isfinite, itertools.chain.from_iterable(raw)))
+        try:
+            finite = all(map(math.isfinite, itertools.chain.from_iterable(raw)))
+        except OverflowError:  # an int or Fraction beyond the float range
+            finite = False
     except TypeError:  # a row that is not a sequence, or an entry that is not a number
         raise ValueError("expected a square matrix of numbers") from None
     n = len(raw)

@@ -1,10 +1,11 @@
-"""Exact two-level operator oracle for the fermionic harmonic oscillator.
+"""Two-level operator algebra for the fermionic harmonic oscillator.
 
 Everything here is closed-form 2x2 linear algebra in the basis (|1>, |0>),
 the ordering in which the thermal density matrix reads diag(e^{-beta*omega}, 1).
-These values serve as ground truth for the path-integral routes.  The
-module owns Z-+: the trace/supertrace choice (BoundaryCondition), the
-closed form 1 +- e^{-beta*omega} and the oracle value, oracle_partition.
+The module owns Z-+: the trace/supertrace choice (BoundaryCondition) and
+the continuum closed form 1 +- e^{-beta*omega} (closed_form_partition),
+which equals Tr rho and Str rho and is the ground truth for the
+path-integral routes.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ __all__ = [
     "parity_operator",
     "hamiltonian",
     "density_matrix",
-    "density_matrix_expm1",
     "partition_trace",
     "supertrace",
     "closed_form_partition",
-    "oracle_partition",
     "thermal_observables",
     "validate_point",
 ]
@@ -128,18 +127,6 @@ def density_matrix(beta: float, omega: float) -> np.ndarray:
     return np.diag([math.exp(-beta * omega), 1.0])
 
 
-def density_matrix_expm1(beta: float, omega: float) -> np.ndarray:
-    """D = exp(-beta H) - I = diag(expm1(-beta*omega), 0), formed without subtraction.
-
-    Since Str I = 0, supertrace(D) is 1 - e^{-beta*omega} to full relative
-    accuracy where supertrace(density_matrix(...)) cancels at small beta*omega.
-    """
-    import numpy as np
-
-    validate_point(beta, omega)
-    return np.diag([math.expm1(-beta * omega), 0.0])
-
-
 def partition_trace(rho: np.ndarray) -> float:
     """Sum of diagonal entries; the fermionic partition function 1 + e^{-beta*omega}."""
     return float(rho.trace())
@@ -155,13 +142,6 @@ def closed_form_partition(beta: float, omega: float, bc: BoundaryCondition) -> f
     if bc is BoundaryCondition.ANTIPERIODIC:
         return 1.0 + math.exp(-beta * omega)
     return -math.expm1(-beta * omega) + 0.0  # + 0.0: never -0.0
-
-
-def oracle_partition(beta: float, omega: float, bc: BoundaryCondition) -> float:
-    """Tr rho, or Str D with D = rho - I (Str I = 0), so no digits cancel."""
-    if bc is BoundaryCondition.ANTIPERIODIC:
-        return partition_trace(density_matrix(beta, omega))
-    return supertrace(density_matrix_expm1(beta, omega))
 
 
 def thermal_observables(beta: float, omega: float) -> ThermalPoint:

@@ -33,7 +33,8 @@ from .oscillator import (
     density_matrix,
     hamiltonian,
     ladder_matrices,
-    oracle_partition,
+    partition_trace,
+    supertrace,
     thermal_observables,
 )
 from .path_integral import (
@@ -184,14 +185,14 @@ def _density_semigroup(point) -> float:
 
 def _mean_energy_derivative(point, step: float = 1e-5) -> float:
     beta, omega = point
-    up = math.log(oracle_partition(beta + step, omega, _AP))
-    down = math.log(oracle_partition(beta - step, omega, _AP))
+    up = math.log(closed_form_partition(beta + step, omega, _AP))
+    down = math.log(closed_form_partition(beta - step, omega, _AP))
     return abs(thermal_observables(beta, omega).mean_energy + (up - down) / (2.0 * step))
 
 
 def _graded_duality(point) -> float:
     beta, omega = point
-    z_plus = oracle_partition(beta, omega, _P)
+    z_plus = closed_form_partition(beta, omega, _P)
     cutoff = int(math.ceil(40.0 / (beta * omega)))
     bosonic = math.fsum(math.exp(-beta * omega * n) for n in range(cutoff + 1))
     return abs(z_plus * bosonic - 1.0)
@@ -202,12 +203,12 @@ def _route_accuracy(point) -> float:
 
     The model is lambda^N, lambda = e^{-x} or 1 - x on the exact double
     x = epsilon*omega, so it shares no float step log with a route; at N = 1
-    in the exact scheme x is beta*omega, so 1 +- lambda is also the oracle's
-    and ``closed_form_partition``'s Z-+.  Bounds: 1e-15 (determinant,
-    oracle, closed form, exact-scheme chain), min(1e-14, 16 ulp * L)
-    (first-order chain) and 4 ulp * L (``coeff_prop``), L = max(1, |ln
-    lambda^N|); errors are relative to at least 2^-1022, for an underflowed
-    lambda^N.  ``coeff_id`` must be 1.0 exactly.
+    in the exact scheme x is beta*omega, so 1 +- lambda is also
+    ``closed_form_partition``'s Z-+.  Bounds: 1e-15 (determinant, closed
+    form, exact-scheme chain), min(1e-14, 16 ulp * L) (first-order chain)
+    and 4 ulp * L (``coeff_prop``), L = max(1, |ln lambda^N|); errors are
+    relative to at least 2^-1022, for an underflowed lambda^N.  ``coeff_id``
+    must be 1.0 exactly.
     """
     import decimal
 
@@ -228,8 +229,7 @@ def _route_accuracy(point) -> float:
             checks += [(close_boundary(kernel, bc), z, chain_bound),
                        (partition_via_determinant(chain, bc), z, 1e-15)]
             if exact and chain.n_steps == 1:
-                checks += [(oracle_partition(chain.beta, chain.omega, bc), z, 1e-15),
-                           (closed_form_partition(chain.beta, chain.omega, bc), z, 1e-15)]
+                checks.append((closed_form_partition(chain.beta, chain.omega, bc), z, 1e-15))
         return max(float(abs(decimal.Decimal(got) - want) / max(abs(want), floor)) / bound
                    for got, want, bound in checks)
 
@@ -284,10 +284,10 @@ INVARIANTS = (
               _route_accuracy),
     Invariant("antiperiodic-matches-trace", "relative closure/trace mismatch", _GRID, 1e-12,
               lambda p: _rel(close_boundary(kernel_paper_form(*p), _AP),
-                             oracle_partition(*p, _AP))),
+                             partition_trace(density_matrix(*p)))),
     Invariant("periodic-matches-supertrace", "relative closure/supertrace mismatch", _GRID,
               1e-12, lambda p: _rel(close_boundary(kernel_paper_form(*p), _P),
-                                    oracle_partition(*p, _P))),
+                                    supertrace(density_matrix(*p)))),
     Invariant("graded-partition-duality", "|Z+ * sum_n e^(-bwn) - 1|", _GRID, 1e-12,
               _graded_duality),
     Invariant("action-matrix-routes", "|integral - det| over action matrices", _ACTION_GRID,

@@ -77,7 +77,7 @@ def test_csv_shape(capsys):
     lines = out.splitlines()
     assert lines[0] == "route,beta,omega,n_steps,bc,z_value,reference_z,abs_error"
     assert len(lines) == 3
-    # n_steps column stays empty for the oracle route
+    # n_steps column stays empty for the exact route
     assert lines[1].split(",")[3] == ""
 
 
@@ -167,6 +167,9 @@ def test_allow_beta_zero_is_an_ignored_flag(capsys):
     "argv",
     [
         "exact --beta nan --omega 1",
+        "exact --beta -1 --omega 1",
+        "exact --beta 1 --omega 0",
+        "exact --beta 1 --omega inf",
         "chain --beta 1 --omega nan",
         "determinant --beta inf --omega 1",
         "sweep --beta 1 -1 --omega 1",
@@ -409,13 +412,15 @@ print("numpy" in sys.modules)
 @pytest.mark.parametrize(
     "commands, loads_numpy",
     [
-        # routes that build no array: the chain at any N, and the determinant and sweep
-        # on both sides of GAUSSIAN_CAP, whose cross-check takes the action matrix as rows
-        (["chain --beta 1 --omega 1 --steps 32", "chain --beta 1e-12 --omega 1 --steps 1000000",
+        # routes that build no array: the closed form, the chain at any N, and the
+        # determinant and sweep on both sides of GAUSSIAN_CAP, whose cross-check takes
+        # the action matrix as rows
+        (["exact --beta 1 --omega 1",
+          "chain --beta 1 --omega 1 --steps 32", "chain --beta 1e-12 --omega 1 --steps 1000000",
           "determinant --beta 1 --omega 1 --steps 8", "determinant --beta 1 --omega 1 --steps 9",
           "sweep --beta 1 --omega 1 --steps 1 8", "sweep --beta 1 --omega 1 --steps 9 20"], False),
-        # the 2x2 oracle and the catalogue
-        (["exact --beta 1 --omega 1", "selftest"], True),
+        # the catalogue, whose operator entries build the 2x2 matrices
+        (["selftest"], True),
     ],
 )
 def test_numpy_is_imported_only_where_arrays_are_built(commands, loads_numpy):

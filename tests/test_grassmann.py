@@ -190,6 +190,9 @@ class TestGaussianIntegral:
             (["12", "34"], "numbers"),
             ([["1", "2"], ["3", "4"]], "numbers"),
             ([b"\x01\x02", b"\x03\x04"], "numbers"),
+            # beyond the float range, where math.isfinite raises OverflowError
+            ([[10**400]], "finite"),
+            ([[1.0, 10**400], [0.0, 1.0]], "finite"),
         ],
     )
     def test_malformed_matrix_rejected(self, m, message):

@@ -8,6 +8,7 @@ import fermiosc
 from fermiosc.oscillator import (
     BoundaryCondition,
     ThermalPoint,
+    closed_form_partition,
     density_matrix,
     hamiltonian,
     ladder_matrices,
@@ -109,8 +110,12 @@ def test_supertrace_endpoints():
 
 @pytest.mark.parametrize("beta,omega", GRID)
 def test_closed_forms_on_grid(beta, omega):
-    # Tr rho is the oracle's Z-, held to 1e-15 by catalogue entry route-relative-accuracy;
-    # Str rho is not the oracle's Z+ (that is Str D), so it is checked here
+    # Tr rho is the closed form's Z- to the bit, which ties the operator algebra to the
+    # value route-relative-accuracy holds to 1e-15; Str rho cancels digits at small
+    # beta*omega, so it meets Z+ = 1 - e^{-beta*omega} only to a relative tolerance
+    assert partition_trace(density_matrix(beta, omega)) == closed_form_partition(
+        beta, omega, BoundaryCondition.ANTIPERIODIC
+    )
     assert supertrace(density_matrix(beta, omega)) == pytest.approx(
         1.0 - math.exp(-beta * omega), rel=1e-14
     )
@@ -138,7 +143,7 @@ def test_ground_state_observables():
 @given(betas, omegas)
 def test_thermal_point_internal_consistency(beta, omega):
     point = thermal_observables(beta, omega)
-    assert point.z_minus == pytest.approx(partition_trace(density_matrix(beta, omega)))
+    assert point.z_minus == partition_trace(density_matrix(beta, omega))
     assert point.free_energy == pytest.approx(-math.log(point.z_minus) / beta)
     assert point.entropy >= 0.0
     # S = beta * (<E> - F) by construction
