@@ -20,7 +20,7 @@ import math
 import sys
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .oscillator import BoundaryCondition, closed_form_partition, validate_point
+from .oscillator import BoundaryCondition, closed_form_partition
 from .path_integral import (
     DiscretizedChain,
     SliceScheme,
@@ -97,7 +97,6 @@ def _row(route: str, beta: float, omega: float, n_steps: Optional[int],
 def run_exact(args: argparse.Namespace) -> List[ResultRow]:
     rows = []
     for beta in args.beta:
-        validate_point(beta, args.omega)  # the closed form itself lets NaN through
         for bc in _boundary_conditions(args.bc):
             z = closed_form_partition(beta, args.omega, bc)
             rows.append(_row("exact", beta, args.omega, None, bc, z))
@@ -119,11 +118,12 @@ def _determinant_rows(route: str, args: argparse.Namespace) -> List[ResultRow]:
     """Determinant-route rows in the order beta, then boundary condition, then N."""
     rows = []
     for beta in args.beta:
+        chains = [DiscretizedChain(n, beta, args.omega, SliceScheme(args.scheme))
+                  for n in args.steps]
         for bc in _boundary_conditions(args.bc):
-            for n in args.steps:
-                chain = DiscretizedChain(n, beta, args.omega, SliceScheme(args.scheme))
+            for chain in chains:
                 z = partition_via_determinant(chain, bc)
-                rows.append(_row(route, beta, args.omega, n, bc, z))
+                rows.append(_row(route, beta, args.omega, chain.n_steps, bc, z))
     return rows
 
 
@@ -150,11 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fermiosc",
         description="Partition functions of a single fermionic mode, "
-        "by oracle, symbolic chain contraction, or action determinant.",
+        "by continuum closed form, symbolic chain contraction, or action determinant.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
     for name, summary in (
-        ("exact", "two-level oracle values"),
+        ("exact", "continuum closed form 1 +- e^{-beta*omega}"),
         ("chain", "symbolic chain contraction"),
         ("determinant", "discrete-action determinant"),
         ("sweep", "error table over step counts"),
@@ -174,9 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="boundary condition rows to emit (default %(default)s)")
         sub.add_argument("--format", choices=["json", "csv"], default="json",
                          help="output table format (default %(default)s)")
-    # accepted and ignored, so scripts that pass it keep working: every route takes beta = 0
-    commands.choices["exact"].add_argument("--allow-beta-zero", action="store_true",
-                                           help=argparse.SUPPRESS)
     commands.add_parser("selftest", help="run the invariant checks")
     return parser
 

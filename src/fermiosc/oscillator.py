@@ -138,7 +138,11 @@ def supertrace(rho: np.ndarray) -> float:
 
 
 def closed_form_partition(beta: float, omega: float, bc: BoundaryCondition) -> float:
-    """1 + e^{-beta*omega} (antiperiodic) or 1 - e^{-beta*omega} (periodic)."""
+    """1 + e^{-beta*omega} (antiperiodic) or 1 - e^{-beta*omega} (periodic).
+
+    A point that ``validate_point`` refuses raises ValueError.
+    """
+    validate_point(beta, omega)
     if bc is BoundaryCondition.ANTIPERIODIC:
         return 1.0 + math.exp(-beta * omega)
     return -math.expm1(-beta * omega) + 0.0  # + 0.0: never -0.0
@@ -151,8 +155,7 @@ def thermal_observables(beta: float, omega: float) -> ThermalPoint:
     S = beta<E> + ln(Z-), which equals beta(<E> - F) without forming ln(Z-)/beta.
     An F that overflows (beta below about 3.9e-309) raises ArithmeticError.
     """
-    validate_point(beta, omega)
-    if beta == 0:
+    if beta == 0:  # closed_form_partition refuses every other point outside the domain
         raise ValueError("observables need beta > 0")
     z_minus = closed_form_partition(beta, omega, BoundaryCondition.ANTIPERIODIC)
     z_plus = closed_form_partition(beta, omega, BoundaryCondition.PERIODIC)

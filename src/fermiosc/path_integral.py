@@ -20,7 +20,6 @@ Scalapino & Sugar, PRD 24, 2278 (1981)).
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -49,8 +48,6 @@ __all__ = [
     "action_matrix",
     "partition_via_determinant",
 ]
-
-logger = logging.getLogger(__name__)
 
 # Every kernel lives on these five generators: c(0), the boundary pair and a
 # spare pair, laid out in _PAIRS alone.  A kernel is 1 + q c*(beta) c(0); a
@@ -244,16 +241,7 @@ def contract_chain(chain: DiscretizedChain) -> PropagatorKernel:
         power = _compose(power, power)
         if n & 1:
             element = power if element is None else _compose(element, power)
-    kernel = PropagatorKernel(element)
-    if logger.isEnabledFor(logging.DEBUG):  # the coefficient lookups cost more than the check
-        logger.debug(
-            "contracted chain N=%d scheme=%s: coeff_id=%.17g coeff_prop=%.17g",
-            chain.n_steps,
-            chain.scheme.value,
-            kernel.coeff_id,
-            kernel.coeff_prop,
-        )
-    return kernel
+    return PropagatorKernel(element)
 
 
 def kernel_paper_form(beta: float, omega: float) -> PropagatorKernel:

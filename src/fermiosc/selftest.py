@@ -83,11 +83,10 @@ class Invariant:
     defect: Callable[[Any], float]
 
     def check(self) -> CheckResult:
-        import numpy as np
-
         try:
-            # np.max, unlike max, lets a NaN defect through to fail the entry
-            worst = float(np.max([self.defect(point) for point in self.grid]))
+            defects = [float(self.defect(point)) for point in self.grid]
+            # max alone may pass over a NaN defect; a NaN must fail the entry
+            worst = math.nan if any(map(math.isnan, defects)) else max(defects)
         except Exception as exc:  # one broken entry must not hide the others' report
             detail = "raised %s: %s" % (type(exc).__name__, exc)
             return CheckResult(self.name, False, detail, math.inf)

@@ -138,15 +138,6 @@ def test_output_is_deterministic(capsys):
     assert len(json_rows(first)) == 8
 
 
-def test_beta_zero_partition_values(capsys):
-    code, out = run_cli(
-        capsys, "exact", "--beta", "0", "--omega", "1", "--allow-beta-zero"
-    )
-    rows = json_rows(out)
-    assert code == 0
-    assert [r["z_value"] for r in rows] == [2.0, 0.0]
-
-
 @pytest.mark.parametrize("beta", ["0", "-0.0"])
 @pytest.mark.parametrize("command", ["exact", "chain", "determinant", "sweep"])
 def test_beta_zero_prints_rows_on_every_route(capsys, command, beta):
@@ -156,11 +147,6 @@ def test_beta_zero_prints_rows_on_every_route(capsys, command, beta):
     assert code == 0
     assert [r["z_value"] for r in rows] == [r["reference_z"] for r in rows]
     assert [repr(r["z_value"]) for r in rows] == ["2.0", "0.0"]  # never -0.0
-
-
-def test_allow_beta_zero_is_an_ignored_flag(capsys):
-    argv = ["exact", "--beta", "0", "--omega", "1"]
-    assert run_cli(capsys, *argv, "--allow-beta-zero") == run_cli(capsys, *argv)
 
 
 @pytest.mark.parametrize(
@@ -400,9 +386,11 @@ from fermiosc import cli
 from fermiosc.cli import main
 assert "numpy" not in sys.modules, "import fermiosc.cli loaded numpy"
 assert "decimal" not in sys.modules, "import fermiosc.cli loaded decimal"
+assert "logging" not in sys.modules, "import fermiosc.cli loaded logging"
 assert cli._parser is None, "import fermiosc.cli built the parser"
 for argv in sys.argv[1:]:
     assert main(argv.split()) == 0, argv
+    assert "logging" not in sys.modules, argv + " loaded logging"
     if argv != "selftest":  # the catalogue's 50-digit reference is the one decimal user
         assert "decimal" not in sys.modules, argv + " loaded decimal"
 print("numpy" in sys.modules)

@@ -24,7 +24,8 @@ def test_invariant(invariant):
 
 
 def test_nan_defect_fails_the_entry():
-    result = Invariant("nan", "defect", (0, 1), 1.0, lambda p: (0.0, math.nan)[p]).check()
+    # in the middle of the grid, where max(0.0, nan, 0.5) would return 0.5
+    result = Invariant("nan", "defect", (0, 1, 2), 1.0, lambda p: (0.0, math.nan, 0.5)[p]).check()
     assert not result.passed and math.isnan(result.defect)
 
 

@@ -57,6 +57,10 @@ def test_hamiltonian_spectrum(omega):
 def test_validate_point_refuses(point):
     with pytest.raises(ValueError):
         validate_point(*point)
+    if len(point) == 2:  # the closed form checks its own point
+        for bc in BoundaryCondition:
+            with pytest.raises(ValueError):
+                closed_form_partition(*point, bc)
 
 
 def test_validate_point_accepts_the_domain():

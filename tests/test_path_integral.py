@@ -1,5 +1,4 @@
 import copy
-import logging
 import math
 import pickle
 from fractions import Fraction
@@ -117,11 +116,6 @@ class TestContractChain:
         kernel = contract_chain(DiscretizedChain(8, 800.0, 1.0))
         assert list(kernel.element.terms) == [0]
         assert kernel.coeff_prop == 0.0
-
-    def test_logs_extracted_coefficients(self, caplog):
-        with caplog.at_level(logging.DEBUG, logger="fermiosc.path_integral"):
-            contract_chain(DiscretizedChain(4, 1.0, 1.0))
-        assert any("coeff_prop" in record.message for record in caplog.records)
 
     @pytest.mark.parametrize("n_steps", [1, 2, 7, 64, 10**6])
     def test_compositions_grow_with_log_steps(self, monkeypatch, n_steps):
