@@ -32,6 +32,8 @@ from .selftest import run_selftest
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
+# one encoder for every row: json.dumps builds a new one whenever a keyword is not its default
+_JSON = json.JSONEncoder(allow_nan=False)
 
 
 class ResultRow(NamedTuple):
@@ -69,8 +71,8 @@ def emit(rows: Sequence[ResultRow], format: str) -> str:
     if not rows:
         raise ValueError("no rows to emit")
     if format == "json":
-        lines = [json.dumps({k: v for k, v in row._asdict().items() if v is not None},
-                            allow_nan=False) for row in rows]
+        lines = [_JSON.encode({k: v for k, v in row._asdict().items() if v is not None})
+                 for row in rows]
     elif format == "csv":
         lines = [",".join(ResultRow._fields)]
         lines += [",".join(map(_cell, row)) for row in rows]

@@ -13,8 +13,8 @@ integrates any two generators, innermost first, so the pair integral of
 e^{-c* c} = 1 - c* c over dc* dc is 1; the coherent-state trace built on
 it lives in ``fermiosc.path_integral.close_boundary``.  The Gaussian
 integral of a quadratic form is the top coefficient of an exterior product
-of its columns; the matrix may be any square sequence of rows of numbers,
-a list of lists or a 2-D array.
+of its columns, taken on the columns' nonzero entries; the matrix may be
+any square sequence of rows of numbers, a list of lists or a 2-D array.
 
 All values are immutable after construction and every operation is a pure
 function; elements may be shared freely across threads.
@@ -22,7 +22,6 @@ function; elements may be shared freely across threads.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ __all__ = [
     "integrate_pair",
     "substitute",
     "gaussian_integral_expand",
+    "gaussian_integral_columns",
     "max_coefficient_difference",
 ]
 
@@ -106,7 +106,7 @@ class GrassmannElement:
         return "<" + " ".join(bits) + ">"
 
 
-def _build(registry: GeneratorRegistry, terms: dict[int, float]) -> GrassmannElement:
+def _kept(terms: dict[int, float]) -> dict[int, float]:
     """Drop exact zeros only, so no small coefficient is lost; refuse NaN and inf."""
     kept = {}
     for mask, coeff in terms.items():
@@ -115,7 +115,11 @@ def _build(registry: GeneratorRegistry, terms: dict[int, float]) -> GrassmannEle
             kept[mask] = coeff
         elif size:  # inf or NaN
             raise ArithmeticError(f"non-finite coefficient {coeff!r}")
-    return GrassmannElement(registry, kept)
+    return kept
+
+
+def _build(registry: GeneratorRegistry, terms: dict[int, float]) -> GrassmannElement:
+    return GrassmannElement(registry, _kept(terms))
 
 
 def _same_registry(a: GrassmannElement, b: GrassmannElement) -> None:
@@ -281,12 +285,6 @@ def substitute(
     return _build(a.registry, out)
 
 
-# The c1* ... cn* registry of each dimension n <= GAUSSIAN_CAP, built once
-_STAR_REGISTRIES = tuple(
-    register_generators([f"c{i}*" for i in range(1, n + 1)]) for n in range(1, GAUSSIAN_CAP + 1)
-)
-
-
 def _entries(row) -> list:
     """One matrix row as a list, refusing text, which ``float`` would parse as numbers."""
     if isinstance(row, (str, bytes, bytearray)):
@@ -301,9 +299,9 @@ def gaussian_integral_expand(m) -> float:
     prod_j (1 - psi_j cj) with psi_j = sum_i M_ij ci*.  Integrating each cj
     leaves psi_j, and the ci* integrals pick the coefficient of
     c1* ... cn* in psi_1 ... psi_n, which is det M (Berezin, *The Method of
-    Second Quantization*, 1966).  The product is formed over the n
-    generators ci* alone, on one registry per dimension that every call
-    reuses; after k factors it has at most C(n, k) terms.  Intended as the
+    Second Quantization*, 1966).  The product is taken by
+    :func:`gaussian_integral_columns` on the nonzero entries of each column;
+    after k factors it has at most C(n, k) terms.  Intended as the
     symbolic side of the determinant identity, so n is capped at
     ``GAUSSIAN_CAP``.  Text is no number: a ``str``, ``bytes`` or
     ``bytearray`` row or entry is refused.
@@ -325,10 +323,55 @@ def gaussian_integral_expand(m) -> float:
     if n > GAUSSIAN_CAP:
         raise ValueError(f"dimension {n} exceeds the symbolic expansion cap {GAUSSIAN_CAP}")
     rows = [list(map(float, row)) for row in raw]
-    registry = _STAR_REGISTRIES[n - 1]
-    columns = (_build(registry, {1 << i: rows[i][j] for i in range(n)}) for j in range(n))
-    product = functools.reduce(mul, columns)  # psi_1 starts it: no product with 1
-    return product.terms.get((1 << n) - 1, 0.0)
+    return gaussian_integral_columns(
+        [[(i, value) for i, value in enumerate(column) if value] for column in zip(*rows)]
+    )
+
+
+def gaussian_integral_columns(columns) -> float:
+    """Top coefficient of psi_1 ... psi_n, the Gaussian integral of a matrix given by columns.
+
+    Column j lists the entries (i, M_ij) of psi_j = sum_i M_ij ci*, in
+    ascending row order; the zero entries may be left out, which is what
+    makes a sparse matrix cheap.  The running form is wedged with one column
+    at a time, over its terms times that column's entries only, with the
+    merge sign of ``mul``; after each factor exact zeros are dropped and a
+    non-finite coefficient raises ArithmeticError, as in ``mul``.  A row out
+    of range or out of order, a value that is not a finite number, or more
+    than ``GAUSSIAN_CAP`` columns raises ValueError.
+    """
+    n = len(columns)
+    if n > GAUSSIAN_CAP:
+        raise ValueError(f"dimension {n} exceeds the symbolic expansion cap {GAUSSIAN_CAP}")
+    factors = []
+    for j, column in enumerate(columns):
+        entries = []
+        last = -1
+        for i, value in column:
+            if not isinstance(i, int) or not last < i < n:
+                raise ValueError(f"row {i!r} of column {j} is not an index in {last + 1}..{n - 1}")
+            try:
+                finite = math.isfinite(value)
+            except (TypeError, OverflowError):
+                finite = False
+            if not finite:
+                raise ValueError(f"entry {value!r} at ({i}, {j}) is not a finite number")
+            bit = 1 << i
+            entries.append((bit, value, _crossings(bit)))
+            last = i
+        factors.append(entries)
+    form = {0: 1.0}
+    for entries in factors:
+        out: dict[int, float] = {}
+        for mask, coeff in form.items():
+            for bit, value, odd in entries:
+                if mask & bit:
+                    continue
+                merged = mask | bit
+                sign = -1 if (mask & odd).bit_count() & 1 else 1
+                out[merged] = out.get(merged, 0.0) + coeff * value * sign
+        form = _kept(out)
+    return form.get((1 << n) - 1, 0.0)
 
 
 def max_coefficient_difference(a: GrassmannElement, b: GrassmannElement) -> float:

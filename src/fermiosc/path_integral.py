@@ -28,7 +28,7 @@ from .grassmann import (
     GrassmannElement,
     add,
     coefficient,
-    gaussian_integral_expand,
+    gaussian_integral_columns,
     integrate_pair,
     monomial,
     mul,
@@ -267,16 +267,38 @@ def close_boundary(kernel: PropagatorKernel, bc: BoundaryCondition) -> float:
     return float(integrate_pair(mul(closed, _WEIGHTS[0]), _CB_STAR, _CB).scalar_part())
 
 
+def _action_columns(
+    chain: DiscretizedChain, bc: BoundaryCondition
+) -> list[list[tuple[int, float]]]:
+    """The action matrix by columns, as its nonzero (row, value) entries in row order.
+
+    Column j holds the unit diagonal and -lambda below it; the last column
+    holds the +lambda (antiperiodic) or -lambda (periodic) corner in row 0,
+    which at N = 1 adds to the diagonal.  A zero entry, such as -0.0 at
+    lambda = 0, is left out, so the dense fill holds plain zeros there.
+    """
+    n, lam = chain.n_steps, chain.step_coefficient
+    corner = lam if bc is BoundaryCondition.ANTIPERIODIC else -lam
+    if n == 1:
+        columns = [[(0, 1.0 + corner)]]
+    else:
+        columns = [[(j, 1.0), (j + 1, -lam)] for j in range(n - 1)]
+        columns.append([(0, corner), (n - 1, 1.0)])
+    return [[(i, value) for i, value in column if value] for column in columns]
+
+
 def action_matrix(chain: DiscretizedChain, bc: BoundaryCondition) -> list[list[float]]:
     """Quadratic form of the closed discrete action after boundary elimination, as rows.
 
     Unit diagonal, -lambda on the subdiagonal, and a +lambda (antiperiodic)
-    or -lambda (periodic) corner; its determinant is 1 +- lambda^N.
+    or -lambda (periodic) corner; its determinant is 1 +- lambda^N.  The
+    rows are filled from ``_action_columns``, the one statement of the matrix.
     """
-    n, lam = chain.n_steps, chain.step_coefficient
-    # 0.0 - lam: never -0.0, so a zero lambda leaves plain zeros below the diagonal
-    m = [[1.0 if j == i else 0.0 - lam if j == i - 1 else 0.0 for j in range(n)] for i in range(n)]
-    m[0][-1] += lam if bc is BoundaryCondition.ANTIPERIODIC else -lam
+    n = chain.n_steps
+    m = [[0.0] * n for _ in range(n)]
+    for j, column in enumerate(_action_columns(chain, bc)):
+        for i, value in column:
+            m[i][j] = value
     return m
 
 
@@ -303,8 +325,9 @@ def partition_via_determinant(chain: DiscretizedChain, bc: BoundaryCondition) ->
     """Partition value as the determinant 1 +- lambda^N of the action matrix.
 
     Overflow raises ArithmeticError, and so does, for N <= GAUSSIAN_CAP, a
-    Gaussian-integral expansion of the dense matrix that differs from the
-    closed form by more than 1e-10 relative (absolute below magnitude 1).
+    Gaussian-integral expansion of the action's nonzero column entries that
+    differs from the closed form by more than 1e-10 relative (absolute below
+    magnitude 1).  No dense matrix is built.
     """
     try:
         det = _one_plus(chain, 1.0 if bc is BoundaryCondition.ANTIPERIODIC else -1.0)
@@ -313,7 +336,7 @@ def partition_via_determinant(chain: DiscretizedChain, bc: BoundaryCondition) ->
     if not math.isfinite(det):
         raise ArithmeticError(f"determinant of the N={chain.n_steps} action matrix is not finite")
     if chain.n_steps <= GAUSSIAN_CAP:
-        symbolic = gaussian_integral_expand(action_matrix(chain, bc))
+        symbolic = gaussian_integral_columns(_action_columns(chain, bc))
         if abs(symbolic - det) > 1e-10 * max(1.0, abs(det)):
             raise ArithmeticError(
                 "cross-check failure: "

@@ -194,7 +194,7 @@ def test_overflowing_determinant_exits_1_without_rows(capsys):
 
 
 def test_cross_check_failure_names_both_values(capsys, monkeypatch):
-    monkeypatch.setattr("fermiosc.path_integral.gaussian_integral_expand", lambda m: 1.0)
+    monkeypatch.setattr("fermiosc.path_integral.gaussian_integral_columns", lambda c: 1.0)
     argv = "determinant --beta 1 --omega 1 --steps 4 --scheme first-order --bc antiperiodic"
     code = main(argv.split())
     out, err = capsys.readouterr()

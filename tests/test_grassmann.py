@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermiosc.grassmann import (
+    GAUSSIAN_CAP,
     GrassmannElement,
     add,
     coefficient,
+    gaussian_integral_columns,
     gaussian_integral_expand,
     integrate_pair,
     left_derivative,
@@ -202,6 +205,44 @@ class TestGaussianIntegral:
     def test_any_number_type_accepted(self):
         m = [[True, Fraction(1, 2)], [np.float64(3.0), np.int64(2)]]
         assert gaussian_integral_expand(m) == 0.5
+
+    @given(st.integers(1, GAUSSIAN_CAP).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(st.just(0.0), st.floats(-1e150, 1e150)), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    @settings(max_examples=150, deadline=None)
+    def test_same_bits_as_the_product_of_column_elements(self, m):
+        # the product psi_1 ... psi_n by mul, on one element per column
+        n = len(m)
+        registry = register_generators([f"c{i}*" for i in range(1, n + 1)])
+        columns = [GrassmannElement(registry, {1 << i: row[j] for i, row in enumerate(m) if row[j]})
+                   for j in range(n)]
+        try:
+            want = repr(functools.reduce(mul, columns).terms.get((1 << n) - 1, 0.0))
+        except ArithmeticError as error:  # a product beyond the float range
+            with pytest.raises(ArithmeticError) as got:
+                gaussian_integral_expand(m)
+            assert str(got.value) == str(error)
+        else:
+            assert repr(gaussian_integral_expand(m)) == want
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ([[(0, 1.0)], [(2, 1.0)]], "index"),  # past the last row
+            ([[(-1, 1.0)]], "index"),
+            ([[(1, 2.0), (0, 1.0)], [(0, 1.0)]], "index"),  # out of order
+            ([[(0, 1.0), (0, 2.0)]], "index"),  # a row twice
+            ([[(0.0, 1.0)]], "index"),
+            ([[(0, math.inf)]], "finite"),
+            ([[(0, math.nan)]], "finite"),
+            ([[(0, 10**400)]], "finite"),
+            ([[(0, "1")]], "finite"),
+            ([[(i, 1.0)] for i in range(GAUSSIAN_CAP + 1)], "cap"),
+        ],
+    )
+    def test_malformed_columns_rejected(self, columns, message):
+        with pytest.raises(ValueError, match=message):
+            gaussian_integral_columns(columns)
 
 
 class TestSubstitute:

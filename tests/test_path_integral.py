@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -12,6 +13,8 @@ from fermiosc.grassmann import (
     GAUSSIAN_CAP,
     add,
     coefficient,
+    gaussian_integral_columns,
+    gaussian_integral_expand,
     max_coefficient_difference,
     monomial,
     mul,
@@ -229,6 +232,23 @@ class TestActionMatrix:
         for n_steps in (1, 2, 4, 8):
             assert partition_via_determinant(DiscretizedChain(n_steps, 0.0, 1.0), AP) == 2.0
 
+    @pytest.mark.parametrize("n_steps", range(1, GAUSSIAN_CAP + 1))
+    def test_one_statement_of_the_matrix(self, n_steps):
+        # lambda = e^{-x} or 1 - x at x = 0, 1 (first-order lambda = 0) and 3 (lambda < 0)
+        betas = (0.0, n_steps, 3.0 * n_steps)
+        for beta, scheme, bc in itertools.product(betas, SliceScheme, (AP, P)):
+            chain = DiscretizedChain(n_steps, beta, 1.0, scheme)
+            columns = path_integral._action_columns(chain, bc)
+            dense = [[0.0] * n_steps for _ in range(n_steps)]
+            for j, column in enumerate(columns):
+                assert [i for i, _ in column] == sorted({i for i, _ in column})
+                for i, value in column:
+                    assert value != 0.0
+                    dense[i][j] = value
+            assert repr(action_matrix(chain, bc)) == repr(dense)  # -0.0 shows in repr
+            assert repr(gaussian_integral_columns(columns)) == repr(
+                gaussian_integral_expand(action_matrix(chain, bc)))
+
     def test_first_order_four_steps(self):
         chain = DiscretizedChain(4, 1.0, 1.0, SliceScheme.FIRST_ORDER)
         assert partition_via_determinant(chain, AP) == 1.31640625
@@ -282,15 +302,19 @@ class TestDeterminantRoute:
             assert repr(partition_via_determinant(chain, bc)) == "0.0"
         assert repr(partition_via_determinant(DiscretizedChain(10, 0.0, 1.0), P)) == "0.0"
 
-    def test_dense_matrix_only_for_the_cross_check(self, monkeypatch):
+    def test_no_dense_matrix_and_the_kernel_only_up_to_the_cap(self, monkeypatch):
         def refuse(chain, bc):
             raise AssertionError("dense action matrix built")
 
+        sizes = []
+        kernel = path_integral.gaussian_integral_columns
         monkeypatch.setattr(path_integral, "action_matrix", refuse)
-        chain = DiscretizedChain(GAUSSIAN_CAP + 1, 1.0, 1.0)
-        assert partition_via_determinant(chain, AP) == pytest.approx(1.0 + math.exp(-1.0))
-        with pytest.raises(AssertionError, match="dense"):
-            partition_via_determinant(DiscretizedChain(GAUSSIAN_CAP, 1.0, 1.0), AP)
+        monkeypatch.setattr(path_integral, "gaussian_integral_columns",
+                            lambda columns: sizes.append(len(columns)) or kernel(columns))
+        for n_steps in (1, GAUSSIAN_CAP, GAUSSIAN_CAP + 1):
+            chain = DiscretizedChain(n_steps, 1.0, 1.0)
+            assert partition_via_determinant(chain, AP) == pytest.approx(1.0 + math.exp(-1.0))
+        assert sizes == [1, GAUSSIAN_CAP]
 
 
 @pytest.mark.parametrize("beta_omega", [1e-12, 1e-6])
