@@ -42,7 +42,6 @@ __all__ = [
     "integrate_pair",
     "substitute",
     "gaussian_integral_expand",
-    "gaussian_integral_columns",
     "max_coefficient_difference",
 ]
 
@@ -202,19 +201,30 @@ def _crossings(mask: int) -> int:
     return odd
 
 
-def mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    """Distributive product; overlapping monomials vanish by nilpotency."""
-    _same_registry(a, b)
-    right = [(mb, cb, _crossings(mb)) for mb, cb in b.terms.items()]
+def _wedge(
+    terms: Mapping[int, float], right: Sequence[tuple[int, float, int]]
+) -> dict[int, float]:
+    """The product loop: ``terms`` times ``right``'s (mask, coeff, _crossings(mask)) triples.
+
+    Overlapping monomials vanish by nilpotency; the sums are returned
+    unpruned, for the caller's ``_kept``.
+    """
     out: dict[int, float] = {}
-    for ma, ca in a.terms.items():
+    for ma, ca in terms.items():
         for mb, cb, odd in right:
             if ma & mb:
                 continue
             merged = ma | mb
             sign = -1 if (ma & odd).bit_count() & 1 else 1
             out[merged] = out.get(merged, 0.0) + ca * cb * sign
-    return _build(a.registry, out)
+    return out
+
+
+def mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
+    """Distributive product; overlapping monomials vanish by nilpotency."""
+    _same_registry(a, b)
+    right = [(mb, cb, _crossings(mb)) for mb, cb in b.terms.items()]
+    return _build(a.registry, _wedge(a.terms, right))
 
 
 def left_derivative(a: GrassmannElement, g: int) -> GrassmannElement:
@@ -299,12 +309,11 @@ def gaussian_integral_expand(m) -> float:
     prod_j (1 - psi_j cj) with psi_j = sum_i M_ij ci*.  Integrating each cj
     leaves psi_j, and the ci* integrals pick the coefficient of
     c1* ... cn* in psi_1 ... psi_n, which is det M (Berezin, *The Method of
-    Second Quantization*, 1966).  The product is taken by
-    :func:`gaussian_integral_columns` on the nonzero entries of each column;
-    after k factors it has at most C(n, k) terms.  Intended as the
-    symbolic side of the determinant identity, so n is capped at
-    ``GAUSSIAN_CAP``.  Text is no number: a ``str``, ``bytes`` or
-    ``bytearray`` row or entry is refused.
+    Second Quantization*, 1966).  The product is ``mul``'s product loop,
+    taken on the nonzero entries of each column; after k factors it has at
+    most C(n, k) terms.  Intended as the symbolic side of the determinant
+    identity, so n is capped at ``GAUSSIAN_CAP``.  Text is no number: a
+    ``str``, ``bytes`` or ``bytearray`` row or entry is refused.
     """
     try:
         raw = [_entries(row) for row in m]
@@ -323,55 +332,20 @@ def gaussian_integral_expand(m) -> float:
     if n > GAUSSIAN_CAP:
         raise ValueError(f"dimension {n} exceeds the symbolic expansion cap {GAUSSIAN_CAP}")
     rows = [list(map(float, row)) for row in raw]
-    return gaussian_integral_columns(
+    return _gaussian_columns(
         [[(i, value) for i, value in enumerate(column) if value] for column in zip(*rows)]
     )
 
 
-def gaussian_integral_columns(columns) -> float:
-    """Top coefficient of psi_1 ... psi_n, the Gaussian integral of a matrix given by columns.
+def _gaussian_columns(columns) -> float:
+    """Top coefficient of psi_1 ... psi_n, column j given as its nonzero (i, M_ij) in row order.
 
-    Column j lists the entries (i, M_ij) of psi_j = sum_i M_ij ci*, in
-    ascending row order; the zero entries may be left out, which is what
-    makes a sparse matrix cheap.  The running form is wedged with one column
-    at a time, over its terms times that column's entries only, with the
-    merge sign of ``mul``; after each factor exact zeros are dropped and a
-    non-finite coefficient raises ArithmeticError, as in ``mul``.  A row out
-    of range or out of order, a value that is not a finite number, or more
-    than ``GAUSSIAN_CAP`` columns raises ValueError.
+    The columns are not checked: callers build them from validated input.
     """
-    n = len(columns)
-    if n > GAUSSIAN_CAP:
-        raise ValueError(f"dimension {n} exceeds the symbolic expansion cap {GAUSSIAN_CAP}")
-    factors = []
-    for j, column in enumerate(columns):
-        entries = []
-        last = -1
-        for i, value in column:
-            if not isinstance(i, int) or not last < i < n:
-                raise ValueError(f"row {i!r} of column {j} is not an index in {last + 1}..{n - 1}")
-            try:
-                finite = math.isfinite(value)
-            except (TypeError, OverflowError):
-                finite = False
-            if not finite:
-                raise ValueError(f"entry {value!r} at ({i}, {j}) is not a finite number")
-            bit = 1 << i
-            entries.append((bit, value, _crossings(bit)))
-            last = i
-        factors.append(entries)
     form = {0: 1.0}
-    for entries in factors:
-        out: dict[int, float] = {}
-        for mask, coeff in form.items():
-            for bit, value, odd in entries:
-                if mask & bit:
-                    continue
-                merged = mask | bit
-                sign = -1 if (mask & odd).bit_count() & 1 else 1
-                out[merged] = out.get(merged, 0.0) + coeff * value * sign
-        form = _kept(out)
-    return form.get((1 << n) - 1, 0.0)
+    for column in columns:
+        form = _kept(_wedge(form, [(1 << i, value, _crossings(1 << i)) for i, value in column]))
+    return form.get((1 << len(columns)) - 1, 0.0)
 
 
 def max_coefficient_difference(a: GrassmannElement, b: GrassmannElement) -> float:

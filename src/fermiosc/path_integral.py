@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from .grassmann import (
     GAUSSIAN_CAP,
     GrassmannElement,
+    _gaussian_columns,
     add,
     coefficient,
-    gaussian_integral_columns,
     integrate_pair,
     monomial,
     mul,
@@ -97,29 +97,32 @@ class DiscretizedChain:
 class _SignedLog(float):
     """A float that also carries log|value|: the chain's kernel coefficient.
 
-    It reads as the float sign * e^log wherever the engine and callers read
-    a coefficient (compared, subtracted, printed, tested for zero and
-    finiteness), which is 0.0 once e^log underflows and +-inf once it
-    overflows, as a float product would be.  Only a product or sum of two
-    coefficients is taken on the logs: a product adds them, so lambda^N is
-    not rounded once per factor, and a sum of opposite signs takes
-    log(-expm1(d)), so 1 - lambda^N keeps its digits (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, on expm1 and log1p).
+    It reads as a float wherever the engine and callers read a coefficient
+    (compared, subtracted, printed, tested for zero and finiteness).  Only a
+    product or sum of two coefficients is taken on the logs: a product adds
+    them, so lambda^N is not rounded once per factor, and its value is
+    sign * e^log, which is 0.0 once e^log underflows and +-inf once it
+    overflows, as a float product would be.  A sum keeps its value, which
+    is |big| + |small|, or |big| * -expm1(d) for opposite signs with d the
+    difference of the logs, so 1 - lambda^N keeps its digits and is never
+    read back through exp (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, on expm1 and log1p).
     """
 
     __slots__ = ("log",)
 
-    def __new__(cls, sign: float, log: float) -> _SignedLog:
-        try:
-            size = math.exp(log)
-        except OverflowError:
-            size = math.inf
+    def __new__(cls, sign: float, log: float, size: float | None = None) -> _SignedLog:
+        if size is None:
+            try:
+                size = math.exp(log)
+            except OverflowError:
+                size = math.inf
         self = super().__new__(cls, math.copysign(size, sign))
         self.log = log
         return self
 
-    def __getnewargs__(self) -> tuple[float, float]:  # so copy and pickle rebuild it
-        return math.copysign(1.0, self), self.log
+    def __getnewargs__(self) -> tuple[float, float, float]:  # so copy and pickle rebuild it
+        return math.copysign(1.0, self), self.log, abs(self)
 
     def __neg__(self) -> _SignedLog:  # the negated float, exactly: no exp to take
         negated = float.__new__(_SignedLog, -float(self))
@@ -148,10 +151,11 @@ class _SignedLog(float):
             return big
         d = small.log - big.log
         if (big < 0.0) == (small < 0.0):
-            return _SignedLog(big, big.log + math.log1p(math.exp(d)))
+            return _SignedLog(big, big.log + math.log1p(math.exp(d)), abs(big) + abs(small))
         if not d:
             return _SignedLog(1.0, -math.inf)
-        return _SignedLog(big, big.log + math.log(-math.expm1(d)))
+        shrink = -math.expm1(d)
+        return _SignedLog(big, big.log + math.log(shrink), abs(big) * shrink)
 
     __radd__ = __add__
 
@@ -336,7 +340,7 @@ def partition_via_determinant(chain: DiscretizedChain, bc: BoundaryCondition) ->
     if not math.isfinite(det):
         raise ArithmeticError(f"determinant of the N={chain.n_steps} action matrix is not finite")
     if chain.n_steps <= GAUSSIAN_CAP:
-        symbolic = gaussian_integral_columns(_action_columns(chain, bc))
+        symbolic = _gaussian_columns(_action_columns(chain, bc))
         if abs(symbolic - det) > 1e-10 * max(1.0, abs(det)):
             raise ArithmeticError(
                 "cross-check failure: "

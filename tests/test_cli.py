@@ -194,7 +194,7 @@ def test_overflowing_determinant_exits_1_without_rows(capsys):
 
 
 def test_cross_check_failure_names_both_values(capsys, monkeypatch):
-    monkeypatch.setattr("fermiosc.path_integral.gaussian_integral_columns", lambda c: 1.0)
+    monkeypatch.setattr("fermiosc.path_integral._gaussian_columns", lambda c: 1.0)
     argv = "determinant --beta 1 --omega 1 --steps 4 --scheme first-order --bc antiperiodic"
     code = main(argv.split())
     out, err = capsys.readouterr()
@@ -249,18 +249,18 @@ GOLDEN = {
         '{"route": "chain", "beta": 0.0001, "omega": 0.5, "n_steps": 1, "bc": "antiperiodic", '
         '"z_value": 1.9999500012499791, "reference_z": 1.9999500012499791, "abs_error": 0.0}\n'
         '{"route": "chain", "beta": 0.0001, "omega": 0.5, "n_steps": 1, "bc": "periodic", '
-        '"z_value": 4.9998750020833104e-05, "reference_z": 4.9998750020833077e-05, '
-        '"abs_error": 2.710505431213761e-20}\n',
+        '"z_value": 4.9998750020833077e-05, "reference_z": 4.9998750020833077e-05, '
+        '"abs_error": 0.0}\n',
     "chain --beta 1e-4 --omega 2 --steps 64 --scheme first-order":
         '{"route": "chain", "beta": 0.0001, "omega": 2.0, "n_steps": 64, "bc": "antiperiodic", '
-        '"z_value": 1.9998000196862284, "reference_z": 1.9998000199986667, '
-        '"abs_error": 3.124382974561968e-10}\n'
+        '"z_value": 1.9998000196862287, "reference_z": 1.9998000199986667, '
+        '"abs_error": 3.1243807541159185e-10}\n'
         '{"route": "chain", "beta": 0.0001, "omega": 2.0, "n_steps": 64, "bc": "periodic", '
-        '"z_value": 0.00019998031377142393, "reference_z": 0.0001999800013332667, '
-        '"abs_error": 3.124381572417508e-10}\n',
+        '"z_value": 0.0001999803137714238, "reference_z": 0.0001999800013332667, '
+        '"abs_error": 3.1243815710622555e-10}\n',
     "chain --beta 30 --omega 2 --steps 7 --scheme first-order --format csv":
         "route,beta,omega,n_steps,bc,z_value,reference_z,abs_error\n"
-        "chain,30,2,7,antiperiodic,-1426410.4197279299,1,1426411.4197279299\n"
+        "chain,30,2,7,antiperiodic,-1426410.4197279308,1,1426411.4197279308\n"
         "chain,30,2,7,periodic,1426412.4197279308,1,1426411.4197279308\n",
     "chain --beta 30 --omega 1 --steps 64 --scheme exact --format csv":
         "route,beta,omega,n_steps,bc,z_value,reference_z,abs_error\n"
@@ -402,7 +402,7 @@ print("numpy" in sys.modules)
     [
         # routes that build no array: the closed form, the chain at any N, and the
         # determinant and sweep on both sides of GAUSSIAN_CAP, whose cross-check takes
-        # the action matrix as rows
+        # the action's sparse columns
         (["exact --beta 1 --omega 1",
           "chain --beta 1 --omega 1 --steps 32", "chain --beta 1e-12 --omega 1 --steps 1000000",
           "determinant --beta 1 --omega 1 --steps 8", "determinant --beta 1 --omega 1 --steps 9",
@@ -419,6 +419,13 @@ def test_numpy_is_imported_only_where_arrays_are_built(commands, loads_numpy):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == str(loads_numpy)
+
+
+def test_package_names_are_unique_and_resolve():
+    # __init__ joins four star imports, so a clash or a stale name would shadow silently
+    names = fermiosc.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(fermiosc, name)] == []
 
 
 def test_selftest_passes_and_reports_counts(capsys):

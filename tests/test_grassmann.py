@@ -12,7 +12,6 @@ from fermiosc.grassmann import (
     GrassmannElement,
     add,
     coefficient,
-    gaussian_integral_columns,
     gaussian_integral_expand,
     integrate_pair,
     left_derivative,
@@ -224,25 +223,6 @@ class TestGaussianIntegral:
             assert str(got.value) == str(error)
         else:
             assert repr(gaussian_integral_expand(m)) == want
-
-    @pytest.mark.parametrize(
-        "columns, message",
-        [
-            ([[(0, 1.0)], [(2, 1.0)]], "index"),  # past the last row
-            ([[(-1, 1.0)]], "index"),
-            ([[(1, 2.0), (0, 1.0)], [(0, 1.0)]], "index"),  # out of order
-            ([[(0, 1.0), (0, 2.0)]], "index"),  # a row twice
-            ([[(0.0, 1.0)]], "index"),
-            ([[(0, math.inf)]], "finite"),
-            ([[(0, math.nan)]], "finite"),
-            ([[(0, 10**400)]], "finite"),
-            ([[(0, "1")]], "finite"),
-            ([[(i, 1.0)] for i in range(GAUSSIAN_CAP + 1)], "cap"),
-        ],
-    )
-    def test_malformed_columns_rejected(self, columns, message):
-        with pytest.raises(ValueError, match=message):
-            gaussian_integral_columns(columns)
 
 
 class TestSubstitute:

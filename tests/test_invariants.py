@@ -9,6 +9,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fermiosc import path_integral, selftest
 from fermiosc.grassmann import GrassmannElement, add, monomial
@@ -43,6 +44,16 @@ def test_route_accuracy_sees_a_skewed_step_log(monkeypatch):
     monkeypatch.setattr(path_integral, "_log_step", skewed)
     results = {result.name: result for result in run_selftest()}
     assert not results["route-relative-accuracy"].passed
+
+
+# between the entry's grid points: N log-uniform in 1..10^6, beta*omega
+# log-uniform in [1e-12, 700], omega in [1/4, 4]
+@given(st.floats(0.0, 6.0), st.floats(-12.0, math.log10(700.0)), st.floats(-2.0, 2.0))
+@settings(max_examples=200, deadline=None)
+def test_exact_scheme_route_accuracy_between_grid_points(log_n, log_bw, log_omega):
+    omega = 2.0**log_omega
+    point = (round(10.0**log_n), 10.0**log_bw / omega, omega, SliceScheme.EXACT)
+    assert selftest._route_accuracy(point) <= 1.0
 
 
 def _folded_elements(name, draw, count, lowest):

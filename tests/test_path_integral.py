@@ -13,7 +13,6 @@ from fermiosc.grassmann import (
     GAUSSIAN_CAP,
     add,
     coefficient,
-    gaussian_integral_columns,
     gaussian_integral_expand,
     max_coefficient_difference,
     monomial,
@@ -146,6 +145,15 @@ class TestContractChain:
             assert type(rebuilt) is path_integral._SignedLog
             assert (rebuilt.hex(), rebuilt.log) == (q.hex(), q.log)
 
+    def test_a_sum_keeps_its_value(self):
+        # 1 - e^{-x} is -expm1(-x) itself, not read back through exp of its log
+        q = path_integral._SignedLog(1.0, -5e-5)
+        for total in (q + -1.0, -1.0 + q):
+            assert total.hex() == math.expm1(-5e-5).hex()
+            for rebuilt in (copy.copy(total), pickle.loads(pickle.dumps(total))):
+                assert type(rebuilt) is path_integral._SignedLog
+                assert (rebuilt.hex(), rebuilt.log) == (total.hex(), total.log)
+
 
 @pytest.mark.parametrize(
     "element, message",
@@ -246,7 +254,7 @@ class TestActionMatrix:
                     assert value != 0.0
                     dense[i][j] = value
             assert repr(action_matrix(chain, bc)) == repr(dense)  # -0.0 shows in repr
-            assert repr(gaussian_integral_columns(columns)) == repr(
+            assert repr(path_integral._gaussian_columns(columns)) == repr(
                 gaussian_integral_expand(action_matrix(chain, bc)))
 
     def test_first_order_four_steps(self):
@@ -307,9 +315,9 @@ class TestDeterminantRoute:
             raise AssertionError("dense action matrix built")
 
         sizes = []
-        kernel = path_integral.gaussian_integral_columns
+        kernel = path_integral._gaussian_columns
         monkeypatch.setattr(path_integral, "action_matrix", refuse)
-        monkeypatch.setattr(path_integral, "gaussian_integral_columns",
+        monkeypatch.setattr(path_integral, "_gaussian_columns",
                             lambda columns: sizes.append(len(columns)) or kernel(columns))
         for n_steps in (1, GAUSSIAN_CAP, GAUSSIAN_CAP + 1):
             chain = DiscretizedChain(n_steps, 1.0, 1.0)
