@@ -5,7 +5,9 @@ anticommuting generators (`grassmann`), the 2x2 operator algebra of the
 single fermionic oscillator with its closed-form partition functions
 (`oscillator`), and a time-sliced evaluator that recovers the same
 partition functions by contracting the discretized propagator chain or by
-reducing its quadratic action to a determinant (`path_integral`).
+reducing its quadratic action to a determinant (`path_integral`).  A
+fourth module, `selftest`, holds the invariant catalogue that
+`fermiosc selftest` and pytest share.
 """
 
 from . import grassmann, oscillator, path_integral, selftest

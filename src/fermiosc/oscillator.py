@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -21,7 +20,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BoundaryCondition",
-    "ThermalPoint",
     "ladder_matrices",
     "number_operator",
     "parity_operator",
@@ -30,7 +28,6 @@ __all__ = [
     "partition_trace",
     "supertrace",
     "closed_form_partition",
-    "thermal_observables",
     "validate_point",
 ]
 
@@ -64,32 +61,6 @@ def validate_point(beta: float, omega: float, n_steps: int | None = None) -> Non
             float(n_steps)  # epsilon = beta / N needs N as a float
         except OverflowError:
             raise ValueError("n_steps must be within the float range") from None
-
-
-@dataclass(frozen=True)
-class ThermalPoint:
-    """Thermal-equilibrium record at one (beta, omega) point (hbar = k_B = 1)."""
-
-    beta: float
-    omega: float
-    z_minus: float
-    z_plus: float
-    free_energy: float
-    mean_energy: float
-    entropy: float
-
-    def __post_init__(self) -> None:
-        bad = [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]
-        if bad:  # an overflow, as in the engine and the determinant
-            raise ArithmeticError(f"ThermalPoint fields not finite: {', '.join(bad)}")
-        if not (self.beta > 0 and self.omega > 0):
-            raise ValueError("ThermalPoint requires beta > 0 and omega > 0")
-        # open intervals mathematically, but float rounding reaches the
-        # endpoints once beta*omega exceeds ~37
-        if not (1.0 <= self.z_minus <= 2.0 and 0.0 <= self.z_plus <= 1.0):
-            raise ValueError("partition values outside their physical ranges")
-        if self.entropy < 0:
-            raise ValueError("negative entropy")
 
 
 def ladder_matrices() -> tuple[np.ndarray, np.ndarray]:
@@ -146,29 +117,3 @@ def closed_form_partition(beta: float, omega: float, bc: BoundaryCondition) -> f
     if bc is BoundaryCondition.ANTIPERIODIC:
         return 1.0 + math.exp(-beta * omega)
     return -math.expm1(-beta * omega) + 0.0  # + 0.0: never -0.0
-
-
-def thermal_observables(beta: float, omega: float) -> ThermalPoint:
-    """Canonical-ensemble observables from the closed-form partition functions.
-
-    F = -ln(Z-)/beta, <E> = omega e^{-beta*omega}/(1 + e^{-beta*omega}),
-    S = beta<E> + ln(Z-), which equals beta(<E> - F) without forming ln(Z-)/beta.
-    An F that overflows (beta below about 3.9e-309) raises ArithmeticError.
-    """
-    if beta == 0:  # closed_form_partition refuses every other point outside the domain
-        raise ValueError("observables need beta > 0")
-    z_minus = closed_form_partition(beta, omega, BoundaryCondition.ANTIPERIODIC)
-    z_plus = closed_form_partition(beta, omega, BoundaryCondition.PERIODIC)
-    log_z = math.log(z_minus)
-    mean_energy = omega * math.exp(-beta * omega) / z_minus
-    free_energy = -log_z / beta
-    entropy = beta * mean_energy + log_z
-    return ThermalPoint(
-        beta=beta,
-        omega=omega,
-        z_minus=z_minus,
-        z_plus=z_plus,
-        free_energy=free_energy,
-        mean_energy=mean_energy,
-        entropy=entropy,
-    )

@@ -35,7 +35,6 @@ from .oscillator import (
     ladder_matrices,
     partition_trace,
     supertrace,
-    thermal_observables,
 )
 from .path_integral import (
     DiscretizedChain,
@@ -182,13 +181,6 @@ def _density_semigroup(point) -> float:
     return float(np.max(np.abs(combined - product)))
 
 
-def _mean_energy_derivative(point, step: float = 1e-5) -> float:
-    beta, omega = point
-    up = math.log(closed_form_partition(beta + step, omega, _AP))
-    down = math.log(closed_form_partition(beta - step, omega, _AP))
-    return abs(thermal_observables(beta, omega).mean_energy + (up - down) / (2.0 * step))
-
-
 def _graded_duality(point) -> float:
     beta, omega = point
     z_plus = closed_form_partition(beta, omega, _P)
@@ -275,10 +267,6 @@ INVARIANTS = (
     Invariant("density-semigroup", "entrywise semigroup defect",
               tuple(itertools.product(_BETAS + (5.0,), _BETAS + (5.0,), _OMEGAS)), 1e-14,
               _density_semigroup),
-    Invariant("mean-energy-derivative", "|<E> + dlnZ/dbeta|", _GRID, 1e-8,
-              _mean_energy_derivative),
-    Invariant("entropy-high-temperature-limit", "|S(beta=1e-4) - ln 2|", _ONCE, 1e-6,
-              lambda _: abs(thermal_observables(1e-4, 1.0).entropy - math.log(2.0))),
     Invariant("route-relative-accuracy", "route error over its bound", _ACCURACY_GRID, 1.0,
               _route_accuracy),
     Invariant("antiperiodic-matches-trace", "relative closure/trace mismatch", _GRID, 1e-12,

@@ -24,6 +24,12 @@ def test_invariant(invariant):
     assert result.passed, result.detail
 
 
+def test_invariant_names_are_unique():
+    # a repeated name prints two indistinguishable PASS lines and a suffixed pytest id
+    names = [inv.name for inv in INVARIANTS]
+    assert len(names) == len(set(names))
+
+
 def test_nan_defect_fails_the_entry():
     # in the middle of the grid, where max(0.0, nan, 0.5) would return 0.5
     result = Invariant("nan", "defect", (0, 1, 2), 1.0, lambda p: (0.0, math.nan, 0.5)[p]).check()

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 import fermiosc
 from fermiosc.oscillator import (
     BoundaryCondition,
-    ThermalPoint,
     closed_form_partition,
     density_matrix,
     hamiltonian,
@@ -16,7 +15,6 @@ from fermiosc.oscillator import (
     parity_operator,
     partition_trace,
     supertrace,
-    thermal_observables,
     validate_point,
 )
 
@@ -132,60 +130,5 @@ def test_density_semigroup(beta_1, omega, beta_2):
     assert np.max(np.abs(combined - product)) <= 1e-14
 
 
-def test_mean_energy_value():
-    point = thermal_observables(1.0, 1.0)
-    q = math.exp(-1.0)
-    assert point.mean_energy == pytest.approx(q / (1.0 + q), rel=1e-14)
-
-
-def test_ground_state_observables():
-    point = thermal_observables(60.0, 1.0)
-    assert abs(point.mean_energy) < 1e-20
-    assert abs(point.entropy) < 1e-20
-
-
-@given(betas, omegas)
-def test_thermal_point_internal_consistency(beta, omega):
-    point = thermal_observables(beta, omega)
-    assert point.z_minus == partition_trace(density_matrix(beta, omega))
-    assert point.free_energy == pytest.approx(-math.log(point.z_minus) / beta)
-    assert point.entropy >= 0.0
-    # S = beta * (<E> - F) by construction
-    assert point.entropy == pytest.approx(
-        beta * (point.mean_energy - point.free_energy), abs=1e-12
-    )
-
-
-@pytest.mark.parametrize("beta", [1e-310, 5e-324])
-def test_entropy_at_subnormal_beta_is_ln2(beta):
-    # S = beta<E> + ln Z- never forms ln(Z-)/beta, so S is ln 2 at beta = 1e-300;
-    # at subnormal beta F = -ln(Z-)/beta itself overflows and the record is refused
-    entropy = thermal_observables(1e-300, 1.0).entropy
-    assert abs(entropy - math.log(2.0)) <= 1e-15 * math.log(2.0)
-    with pytest.raises(ArithmeticError, match="free_energy"):
-        thermal_observables(beta, 1.0)
-
-
-def test_thermal_observables_preconditions():
-    with pytest.raises(ValueError):
-        thermal_observables(0.0, 1.0)
-    with pytest.raises(ValueError):
-        thermal_observables(1.0, -2.0)
-
-
-def test_thermal_point_rejects_inconsistent_record():
-    records = [
-        ((1.0, 1.0, 2.5, 0.5, 0.0, 0.0, 0.0), ValueError, "partition"),  # z_minus outside (1, 2)
-        ((1.0, 1.0, 1.5, 0.5, math.nan, math.inf, 0.1), ArithmeticError, "free_energy"),
-    ]
-    for fields, error, message in records:
-        with pytest.raises(error, match=message):
-            ThermalPoint(*fields)
-
-
 def test_oscillator_owns_the_boundary_condition():
     assert fermiosc.path_integral.BoundaryCondition is BoundaryCondition
-
-
-def test_package_exports_each_name_once():
-    assert len(fermiosc.__all__) == len(set(fermiosc.__all__))
