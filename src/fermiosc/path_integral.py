@@ -45,7 +45,6 @@ __all__ = [
     "contract_chain",
     "kernel_paper_form",
     "close_boundary",
-    "action_matrix",
     "partition_via_determinant",
 ]
 
@@ -271,17 +270,16 @@ def close_boundary(kernel: PropagatorKernel, bc: BoundaryCondition) -> float:
     return float(integrate_pair(mul(closed, _WEIGHTS[0]), _CB_STAR, _CB).scalar_part())
 
 
-def _action_columns(
-    chain: DiscretizedChain, bc: BoundaryCondition
-) -> list[list[tuple[int, float]]]:
-    """The action matrix by columns, as its nonzero (row, value) entries in row order.
+def _action_columns(n: int, lam, bc: BoundaryCondition) -> list[list[tuple[int, float]]]:
+    """The N x N action matrix by columns, as its nonzero (row, value) entries in row order.
 
-    Column j holds the unit diagonal and -lambda below it; the last column
-    holds the +lambda (antiperiodic) or -lambda (periodic) corner in row 0,
-    which at N = 1 adds to the diagonal.  A zero entry, such as -0.0 at
-    lambda = 0, is left out, so the dense fill holds plain zeros there.
+    The one statement of the closed discrete action.  Column j holds the unit
+    diagonal and -lambda below it; the last column holds the +lambda
+    (antiperiodic) or -lambda (periodic) corner in row 0, which at N = 1 adds
+    to the diagonal, so the determinant is 1 +- lambda^N.  lambda keeps the
+    caller's type, a float or the chain's signed log.  A zero entry, such as
+    -0.0 at lambda = 0, is left out.
     """
-    n, lam = chain.n_steps, chain.step_coefficient
     corner = lam if bc is BoundaryCondition.ANTIPERIODIC else -lam
     if n == 1:
         columns = [[(0, 1.0 + corner)]]
@@ -289,21 +287,6 @@ def _action_columns(
         columns = [[(j, 1.0), (j + 1, -lam)] for j in range(n - 1)]
         columns.append([(0, corner), (n - 1, 1.0)])
     return [[(i, value) for i, value in column if value] for column in columns]
-
-
-def action_matrix(chain: DiscretizedChain, bc: BoundaryCondition) -> list[list[float]]:
-    """Quadratic form of the closed discrete action after boundary elimination, as rows.
-
-    Unit diagonal, -lambda on the subdiagonal, and a +lambda (antiperiodic)
-    or -lambda (periodic) corner; its determinant is 1 +- lambda^N.  The
-    rows are filled from ``_action_columns``, the one statement of the matrix.
-    """
-    n = chain.n_steps
-    m = [[0.0] * n for _ in range(n)]
-    for j, column in enumerate(_action_columns(chain, bc)):
-        for i, value in column:
-            m[i][j] = value
-    return m
 
 
 def _one_plus(chain: DiscretizedChain, sign: float) -> float:
@@ -340,7 +323,7 @@ def partition_via_determinant(chain: DiscretizedChain, bc: BoundaryCondition) ->
     if not math.isfinite(det):
         raise ArithmeticError(f"determinant of the N={chain.n_steps} action matrix is not finite")
     if chain.n_steps <= GAUSSIAN_CAP:
-        symbolic = _gaussian_columns(_action_columns(chain, bc))
+        symbolic = _gaussian_columns(_action_columns(chain.n_steps, chain.step_coefficient, bc))
         if abs(symbolic - det) > 1e-10 * max(1.0, abs(det)):
             raise ArithmeticError(
                 "cross-check failure: "

@@ -19,6 +19,7 @@ from typing import Any, Callable, List, Sequence
 from .grassmann import (
     GAUSSIAN_CAP,
     GrassmannElement,
+    _gaussian_columns,
     add,
     gaussian_integral_expand,
     left_derivative,
@@ -39,7 +40,9 @@ from .oscillator import (
 from .path_integral import (
     DiscretizedChain,
     SliceScheme,
-    action_matrix,
+    _action_columns,
+    _log_step,
+    _SignedLog,
     close_boundary,
     contract_chain,
     kernel_paper_form,
@@ -195,11 +198,13 @@ def _route_accuracy(point) -> float:
     The model is lambda^N, lambda = e^{-x} or 1 - x on the exact double
     x = epsilon*omega, so it shares no float step log with a route; at N = 1
     in the exact scheme x is beta*omega, so 1 +- lambda is also
-    ``closed_form_partition``'s Z-+.  Bounds: 1e-15 (determinant, closed
-    form, exact-scheme chain), min(1e-14, 16 ulp * L) (first-order chain)
-    and 4 ulp * L (``coeff_prop``), L = max(1, |ln lambda^N|); errors are
-    relative to at least 2^-1022, for an underflowed lambda^N.  ``coeff_id``
-    must be 1.0 exactly.
+    ``closed_form_partition``'s Z-+.  For N <= ``GAUSSIAN_CAP`` the Gaussian
+    expansion of the action's columns, on the chain's signed-log lambda, is
+    a third route.  Bounds: 1e-15 (determinant, closed form, exact-scheme
+    chain), min(1e-14, 16 ulp * L) (first-order chain) and 4 ulp * L
+    (``coeff_prop``), L = max(1, |ln lambda^N|); the Gaussian is held to
+    the chain's bound.  Errors are relative to at least 2^-1022, for an
+    underflowed lambda^N.  ``coeff_id`` must be 1.0 exactly.
     """
     import decimal
 
@@ -219,6 +224,9 @@ def _route_accuracy(point) -> float:
         for bc, z in ((_AP, 1 + power), (_P, 1 - power)):
             checks += [(close_boundary(kernel, bc), z, chain_bound),
                        (partition_via_determinant(chain, bc), z, 1e-15)]
+            if chain.n_steps <= GAUSSIAN_CAP:
+                columns = _action_columns(chain.n_steps, _SignedLog(*_log_step(chain)), bc)
+                checks.append((_gaussian_columns(columns), z, chain_bound))
             if exact and chain.n_steps == 1:
                 checks.append((closed_form_partition(chain.beta, chain.omega, bc), z, 1e-15))
         return max(float(abs(decimal.Decimal(got) - want) / max(abs(want), floor)) / bound
@@ -232,12 +240,6 @@ def _halving_defect(bc: BoundaryCondition) -> float:
     errors = [abs(partition_via_determinant(chain, bc) - closed) for chain in chains]
     return max(abs(a / b - 2.0) for a, b in zip(errors, errors[1:]))
 
-
-_ACTION_POINTS = ((0.0, 1.0), (1e-9, 1.0), (0.5, 2.0), (1.0, 1.0), (2.0, 2.0))
-_ACTION_GRID = tuple(
-    (n, b, w, s, bc) for b, w in _ACTION_POINTS for s in SliceScheme
-    for n in range(1, GAUSSIAN_CAP + 1) for bc in BoundaryCondition
-)
 
 # N x beta*omega x scheme with omega cycling, then _GRID as N = 1 exact-scheme points
 _ACCURACY_GRID = tuple(
@@ -277,8 +279,6 @@ INVARIANTS = (
                                     supertrace(density_matrix(*p)))),
     Invariant("graded-partition-duality", "|Z+ * sum_n e^(-bwn) - 1|", _GRID, 1e-12,
               _graded_duality),
-    Invariant("action-matrix-routes", "|integral - det| over action matrices", _ACTION_GRID,
-              1e-10, lambda p: _integral_vs_det(action_matrix(DiscretizedChain(*p[:4]), p[4]))),
     Invariant("step-count-convergence", "|error ratio - 2| per doubling", (_AP, _P), 0.2,
               _halving_defect),
 )

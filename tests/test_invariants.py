@@ -5,6 +5,7 @@ prints for each entry: PASS or FAIL, the name, the worst defect and the
 tolerance.
 """
 
+import itertools
 import math
 import random
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermiosc import path_integral, selftest
-from fermiosc.grassmann import GrassmannElement, add, monomial
+from fermiosc.grassmann import GAUSSIAN_CAP, GrassmannElement, add, monomial
 from fermiosc.path_integral import SliceScheme
 from fermiosc.selftest import INVARIANTS, Invariant, run_selftest
 
@@ -50,6 +51,26 @@ def test_route_accuracy_sees_a_skewed_step_log(monkeypatch):
     monkeypatch.setattr(path_integral, "_log_step", skewed)
     results = {result.name: result for result in run_selftest()}
     assert not results["route-relative-accuracy"].passed
+
+
+def test_route_accuracy_sees_a_float_gaussian(monkeypatch):
+    # a float lambda rounds once, and 1 - lambda^N cancels where beta*omega is
+    # small, so the action's Gaussian holds the chain's bound on the signed log only
+    action_columns = selftest._action_columns
+    monkeypatch.setattr(selftest, "_action_columns",
+                        lambda n, lam, bc: action_columns(n, float(lam), bc))
+    results = {result.name: result for result in run_selftest()}
+    assert not results["route-relative-accuracy"].passed
+
+
+def test_route_accuracy_where_the_gaussian_runs():
+    # N up to the cap at zero beta, at beta*omega = 1e-9 (Z+ about 1e-9) and at
+    # three moderate points, both schemes; _route_accuracy takes both bcs itself
+    beta_omegas = ((0.0, 1.0), (1e-9, 1.0), (0.5, 2.0), (1.0, 1.0), (2.0, 2.0))
+    for (beta, omega), scheme, n in itertools.product(
+        beta_omegas, SliceScheme, range(1, GAUSSIAN_CAP + 1)
+    ):
+        assert selftest._route_accuracy((n, beta, omega, scheme)) <= 1.0, (n, beta, omega, scheme)
 
 
 # between the entry's grid points: N log-uniform in 1..10^6, beta*omega

@@ -25,7 +25,6 @@ from fermiosc.path_integral import (
     DiscretizedChain,
     PropagatorKernel,
     SliceScheme,
-    action_matrix,
     close_boundary,
     contract_chain,
     kernel_paper_form,
@@ -207,10 +206,20 @@ def test_raw_contraction_pins_coefficients():
         assert kernel.coeff_prop == pytest.approx(chain.step_coefficient**4, rel=1e-14)
 
 
+def _dense(chain, bc):
+    """The float action matrix as rows, filled from ``_action_columns``."""
+    n = chain.n_steps
+    m = [[0.0] * n for _ in range(n)]
+    for j, column in enumerate(path_integral._action_columns(n, chain.step_coefficient, bc)):
+        for i, value in column:
+            m[i][j] = value
+    return m
+
+
 class TestActionMatrix:
     def test_structure(self):
         chain = DiscretizedChain(4, 1.0, 1.0)
-        m = action_matrix(chain, AP)
+        m = _dense(chain, AP)
         lam = chain.step_coefficient
         assert np.array_equal(np.diag(m), np.ones(4))
         assert np.array_equal(np.diag(m, k=-1), [-lam] * 3)
@@ -218,7 +227,7 @@ class TestActionMatrix:
 
     def test_first_order_closed_form(self):
         chain = DiscretizedChain(2, 1.0, 1.0, SliceScheme.FIRST_ORDER)
-        assert np.linalg.det(action_matrix(chain, AP)) == pytest.approx(1.25, abs=1e-15)
+        assert np.linalg.det(_dense(chain, AP)) == pytest.approx(1.25, abs=1e-15)
 
     def test_zero_mode_at_zero_beta(self):
         assert partition_via_determinant(DiscretizedChain(3, 0.0, 1.0), P) == 0.0
@@ -231,16 +240,12 @@ class TestActionMatrix:
         betas = (0.0, n_steps, 3.0 * n_steps)
         for beta, scheme, bc in itertools.product(betas, SliceScheme, (AP, P)):
             chain = DiscretizedChain(n_steps, beta, 1.0, scheme)
-            columns = path_integral._action_columns(chain, bc)
-            dense = [[0.0] * n_steps for _ in range(n_steps)]
-            for j, column in enumerate(columns):
+            columns = path_integral._action_columns(n_steps, chain.step_coefficient, bc)
+            for column in columns:
                 assert [i for i, _ in column] == sorted({i for i, _ in column})
-                for i, value in column:
-                    assert value != 0.0
-                    dense[i][j] = value
-            assert repr(action_matrix(chain, bc)) == repr(dense)  # -0.0 shows in repr
+                assert all(value != 0.0 for _, value in column)
             assert repr(path_integral._gaussian_columns(columns)) == repr(
-                gaussian_integral_expand(action_matrix(chain, bc)))
+                gaussian_integral_expand(_dense(chain, bc)))
 
     def test_first_order_four_steps(self):
         chain = DiscretizedChain(4, 1.0, 1.0, SliceScheme.FIRST_ORDER)
@@ -285,7 +290,7 @@ class TestDeterminantRoute:
     def test_matches_dense_determinant(self, beta, omega, n_steps, scheme, bc):
         chain = DiscretizedChain(n_steps, beta, omega, scheme)
         z = partition_via_determinant(chain, bc)
-        dense = np.linalg.det(action_matrix(chain, bc))
+        dense = np.linalg.det(_dense(chain, bc))
         assert abs(dense - z) <= 1e-11 * max(1.0, abs(z))
 
     def test_exact_zero_is_positive(self):
@@ -296,12 +301,8 @@ class TestDeterminantRoute:
         assert repr(partition_via_determinant(DiscretizedChain(10, 0.0, 1.0), P)) == "0.0"
 
     def test_no_dense_matrix_and_the_kernel_only_up_to_the_cap(self, monkeypatch):
-        def refuse(chain, bc):
-            raise AssertionError("dense action matrix built")
-
         sizes = []
         kernel = path_integral._gaussian_columns
-        monkeypatch.setattr(path_integral, "action_matrix", refuse)
         monkeypatch.setattr(path_integral, "_gaussian_columns",
                             lambda columns: sizes.append(len(columns)) or kernel(columns))
         for n_steps in (1, GAUSSIAN_CAP, GAUSSIAN_CAP + 1):
