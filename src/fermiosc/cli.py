@@ -135,7 +135,7 @@ def run_determinant(args: argparse.Namespace) -> List[ResultRow]:
 
 def run_sweep(args: argparse.Namespace) -> List[ResultRow]:
     if any(b <= a for a, b in zip(args.steps, args.steps[1:])):
-        raise ValueError("n_list must be strictly ascending")
+        raise ValueError("--steps must be strictly ascending")
     return _determinant_rows("sweep", args)
 
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections import namedtuple
+from typing import Mapping, NamedTuple, Sequence
 
 __all__ = [
     "GAUSSIAN_CAP",
@@ -49,17 +49,18 @@ __all__ = [
 GAUSSIAN_CAP = 8
 
 
-@dataclass(frozen=True)
-class GeneratorRegistry:
+class GeneratorRegistry(namedtuple("GeneratorRegistry", "labels")):
     """Ordered set of generator labels; the order is the canonical monomial order."""
 
-    labels: tuple[str, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        if not self.labels:
+    def __new__(cls, labels: tuple[str, ...]) -> GeneratorRegistry:
+        if not labels:
             raise ValueError("registry needs at least one generator label")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("duplicate generator label")
+        return super().__new__(cls, labels)
 
     @property
     def size(self) -> int:
@@ -71,8 +72,7 @@ def register_generators(labels: Sequence[str]) -> GeneratorRegistry:
     return GeneratorRegistry(tuple(labels))
 
 
-@dataclass(frozen=True)
-class GrassmannElement:
+class GrassmannElement(NamedTuple):
     """Sparse element of the algebra: bitmask monomial -> real coefficient.
 
     Stored masks always encode strictly increasing index sets, and every

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .grassmann import (
     GAUSSIAN_CAP,
@@ -70,19 +70,20 @@ class SliceScheme(enum.Enum):
     EXACT = "exact"
 
 
-@dataclass(frozen=True)
-class DiscretizedChain:
+class DiscretizedChain(namedtuple("DiscretizedChain", "n_steps beta omega scheme")):
     """A beta-interval split into N slices of width epsilon = beta / N."""
 
-    n_steps: int
-    beta: float
-    omega: float
-    scheme: SliceScheme = SliceScheme.EXACT
-    epsilon: float = field(init=False)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        validate_point(self.beta, self.omega, self.n_steps)
-        object.__setattr__(self, "epsilon", self.beta / self.n_steps)
+    def __new__(cls, n_steps: int, beta: float, omega: float,
+                scheme: SliceScheme = SliceScheme.EXACT) -> DiscretizedChain:
+        validate_point(beta, omega, n_steps)
+        return super().__new__(cls, n_steps, beta, omega, scheme)
+
+    @property
+    def epsilon(self) -> float:
+        return self.beta / self.n_steps
 
     @property
     def step_coefficient(self) -> float:
@@ -181,8 +182,7 @@ def _log_step(chain: DiscretizedChain) -> tuple[int, float]:
     return 1, -math.inf
 
 
-@dataclass(frozen=True)
-class PropagatorKernel:
+class PropagatorKernel(namedtuple("PropagatorKernel", "element")):
     """The kernel <c(beta)|e^{-beta H}|c(0)> = coeff_id + coeff_prop c*(beta) c(0).
 
     The one check of the kernel's shape: ``element`` must live on the
@@ -190,14 +190,16 @@ class PropagatorKernel:
     both coefficients are read from it as floats.
     """
 
-    element: GrassmannElement
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        if self.element.registry != _REGISTRY:
+    def __new__(cls, element: GrassmannElement) -> PropagatorKernel:
+        if element.registry != _REGISTRY:
             raise ValueError("boundary kernel lives on another generator registry")
-        stray = sorted(set(self.element.terms) - {0, (1 << _CB_STAR) | (1 << _C0)})
+        stray = sorted(set(element.terms) - {0, (1 << _CB_STAR) | (1 << _C0)})
         if stray:
             raise ValueError(f"unexpected monomials in boundary kernel: {stray}")
+        return super().__new__(cls, element)
 
     @property
     def coeff_id(self) -> float:

@@ -13,8 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Any, Callable, List, Sequence
+from typing import Any, Callable, List, NamedTuple, Sequence
 
 from .grassmann import (
     GAUSSIAN_CAP,
@@ -60,8 +59,7 @@ _REG6 = register_generators(["g%d" % k for k in range(6)])
 _GENERATORS = tuple(monomial(_REG6, [i]) for i in range(_REG6.size))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one catalogue entry."""
 
     name: str
@@ -74,8 +72,7 @@ class CheckResult:
         return "%s %s: %s" % ("PASS" if self.passed else "FAIL", self.name, self.detail)
 
 
-@dataclass(frozen=True)
-class Invariant:
+class Invariant(NamedTuple):
     """A named invariant: the worst ``defect(point)`` over ``grid`` is at most ``tolerance``."""
 
     name: str

@@ -173,6 +173,15 @@ def test_invalid_point_exits_2_with_empty_stdout(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("steps", ["4 2", "2 2"])
+def test_sweep_refuses_unordered_steps_by_the_flag_name(capsys, steps):
+    with pytest.raises(SystemExit) as err:
+        main(("sweep --beta 1 --omega 1 --steps " + steps).split())
+    out, stderr = capsys.readouterr()
+    assert (err.value.code, out) == (2, "")
+    assert stderr.splitlines()[-1] == "fermiosc: error: --steps must be strictly ascending"
+
+
 def test_cross_check_is_relative_at_large_magnitude(capsys):
     code, out = run_cli(
         capsys, "determinant", "--beta", "700", "--omega", "1", "--steps", "8",
@@ -388,11 +397,16 @@ assert "numpy" not in sys.modules, "import fermiosc.cli loaded numpy"
 assert "decimal" not in sys.modules, "import fermiosc.cli loaded decimal"
 assert "logging" not in sys.modules, "import fermiosc.cli loaded logging"
 assert cli._parser is None, "import fermiosc.cli built the parser"
+# the records are named tuples; dataclasses would bring inspect, ast, dis and tokenize
+for name in ("dataclasses", "inspect"):
+    assert name not in sys.modules, "import fermiosc.cli loaded " + name
 for argv in sys.argv[1:]:
     assert main(argv.split()) == 0, argv
     assert "logging" not in sys.modules, argv + " loaded logging"
-    if argv != "selftest":  # the catalogue's 50-digit reference is the one decimal user
-        assert "decimal" not in sys.modules, argv + " loaded decimal"
+    if argv != "selftest":  # the catalogue's 50-digit reference is the one decimal user,
+        # and numpy, which only the catalogue loads, imports inspect
+        for name in ("decimal", "dataclasses", "inspect"):
+            assert name not in sys.modules, argv + " loaded " + name
 print("numpy" in sys.modules)
 """
 
