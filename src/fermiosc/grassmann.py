@@ -13,8 +13,8 @@ integrates any two generators, innermost first, so the pair integral of
 e^{-c* c} = 1 - c* c over dc* dc is 1; the coherent-state trace built on
 it lives in ``fermiosc.path_integral.close_boundary``.  The Gaussian
 integral of a quadratic form is the top coefficient of an exterior product
-of its columns, taken on the columns' nonzero entries; the matrix may be
-any square sequence of rows of numbers, a list of lists or a 2-D array.
+of its columns, taken on the columns' nonzero entries; the determinant
+route's cross-check runs it on the discrete action's sparse columns.
 
 All values are immutable after construction and every operation is a pure
 function; elements may be shared freely across threads.
@@ -22,7 +22,6 @@ function; elements may be shared freely across threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from typing import Mapping, NamedTuple, Sequence
@@ -38,14 +37,11 @@ __all__ = [
     "add",
     "mul",
     "coefficient",
-    "left_derivative",
     "integrate_pair",
     "substitute",
-    "gaussian_integral_expand",
-    "max_coefficient_difference",
 ]
 
-# Largest quadratic-form dimension the symbolic Gaussian integral accepts.
+# Largest action dimension whose Gaussian integral the determinant route expands.
 GAUSSIAN_CAP = 8
 
 
@@ -55,7 +51,8 @@ class GeneratorRegistry(namedtuple("GeneratorRegistry", "labels")):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __new__(cls, labels: tuple[str, ...]) -> GeneratorRegistry:
+    def __new__(cls, labels: Sequence[str]) -> GeneratorRegistry:
+        labels = tuple(labels)  # a list would leave the registry mutable and unhashable
         if not labels:
             raise ValueError("registry needs at least one generator label")
         if len(set(labels)) != len(labels):
@@ -69,7 +66,7 @@ class GeneratorRegistry(namedtuple("GeneratorRegistry", "labels")):
 
 def register_generators(labels: Sequence[str]) -> GeneratorRegistry:
     """Create a registry whose canonical order is the input label order."""
-    return GeneratorRegistry(tuple(labels))
+    return GeneratorRegistry(labels)
 
 
 class GrassmannElement(NamedTuple):
@@ -227,22 +224,6 @@ def mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     return _build(a.registry, _wedge(a.terms, right))
 
 
-def left_derivative(a: GrassmannElement, g: int) -> GrassmannElement:
-    """Left derivative: move ``g`` to the front of each monomial, delete it.
-
-    Monomials not containing ``g`` are annihilated.
-    """
-    _check_generator(a.registry, g)
-    bit = 1 << g
-    out: dict[int, float] = {}
-    for mask, coeff in a.terms.items():
-        if not mask & bit:
-            continue
-        position = (mask & (bit - 1)).bit_count()
-        out[mask ^ bit] = coeff if position % 2 == 0 else -coeff
-    return _build(a.registry, out)
-
-
 def integrate_pair(a: GrassmannElement, g_star: int, g: int) -> GrassmannElement:
     """Double Berezin integral d``g_star`` d``g`` over any two generators, innermost first.
 
@@ -295,63 +276,19 @@ def substitute(
     return _build(a.registry, out)
 
 
-def _entries(row) -> list:
-    """One matrix row as a list, refusing text, which ``float`` would parse as numbers."""
-    if isinstance(row, (str, bytes, bytearray)):
-        raise TypeError("a text row is no row of numbers")
-    return list(row)
-
-
-def gaussian_integral_expand(m) -> float:
+def _gaussian_columns(columns) -> float:
     """Grassmann Gaussian integral of exp(-sum_ij ci* M_ij cj), as det M.
 
-    Because cj^2 = 0 and the bilinears commute, the exponential is
+    Column j is given as its nonzero (i, M_ij) in row order.  Because
+    cj^2 = 0 and the bilinears commute, the exponential is
     prod_j (1 - psi_j cj) with psi_j = sum_i M_ij ci*.  Integrating each cj
     leaves psi_j, and the ci* integrals pick the coefficient of
     c1* ... cn* in psi_1 ... psi_n, which is det M (Berezin, *The Method of
-    Second Quantization*, 1966).  The product is ``mul``'s product loop,
-    taken on the nonzero entries of each column; after k factors it has at
-    most C(n, k) terms.  Intended as the symbolic side of the determinant
-    identity, so n is capped at ``GAUSSIAN_CAP``.  Text is no number: a
-    ``str``, ``bytes`` or ``bytearray`` row or entry is refused.
-    """
-    try:
-        raw = [_entries(row) for row in m]
-        # math.isfinite takes numbers only, so this pass also refuses text entries
-        try:
-            finite = all(map(math.isfinite, itertools.chain.from_iterable(raw)))
-        except OverflowError:  # an int or Fraction beyond the float range
-            finite = False
-    except TypeError:  # a row that is not a sequence, or an entry that is not a number
-        raise ValueError("expected a square matrix of numbers") from None
-    n = len(raw)
-    if n < 1 or any(len(row) != n for row in raw):
-        raise ValueError(f"expected a square matrix, got row lengths {[len(r) for r in raw]}")
-    if not finite:
-        raise ValueError("matrix entries must be finite")
-    if n > GAUSSIAN_CAP:
-        raise ValueError(f"dimension {n} exceeds the symbolic expansion cap {GAUSSIAN_CAP}")
-    rows = [list(map(float, row)) for row in raw]
-    return _gaussian_columns(
-        [[(i, value) for i, value in enumerate(column) if value] for column in zip(*rows)]
-    )
-
-
-def _gaussian_columns(columns) -> float:
-    """Top coefficient of psi_1 ... psi_n, column j given as its nonzero (i, M_ij) in row order.
-
-    The columns are not checked: callers build them from validated input.
+    Second Quantization*, 1966).  The product is ``mul``'s product loop;
+    after k factors it has at most C(n, k) terms.  The columns are not
+    checked: callers build them from validated input.
     """
     form = {0: 1.0}
     for column in columns:
         form = _kept(_wedge(form, [(1 << i, value, _crossings(1 << i)) for i, value in column]))
     return form.get((1 << len(columns)) - 1, 0.0)
-
-
-def max_coefficient_difference(a: GrassmannElement, b: GrassmannElement) -> float:
-    """Largest coefficient-wise |a - b| over the union of stored monomials."""
-    _same_registry(a, b)
-    masks = set(a.terms) | set(b.terms)
-    if not masks:
-        return 0.0
-    return max(abs(a.terms.get(m, 0.0) - b.terms.get(m, 0.0)) for m in masks)
