@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,12 +143,71 @@ class TestIntegratePair:
             # same monomials, coefficients and order, so later sums round alike
             assert list(integrate_pair(a, g_star, g).terms.items()) == list(nested.terms.items())
 
+    def test_rest_of_the_monomial_passes_through(self):
+        assert integrate_pair(monomial(REG6, [0, 1, 2, 3]), 1, 0) == monomial(REG6, [2, 3])
+
+    def test_pair_anticommutes_past_a_generator_between(self):
+        # d/dg1 d/dg0 (g0 g2 g1) = d/dg1 (g2 g1) = -g2
+        assert integrate_pair(monomial(REG6, [0, 2, 1]), 1, 0) == monomial(REG6, [2], -1.0)
+
+    def test_absent_generator(self):
+        for indices in ([0, 2], [1, 2], [2, 3]):
+            assert integrate_pair(monomial(REG6, indices), 1, 0).is_zero
+
+    @given(elements(), st.integers(min_value=0, max_value=5))
+    @settings(max_examples=100, deadline=None)
+    def test_same_generator_twice_gives_zero(self, a, g):
+        # the left derivative squares to zero
+        assert integrate_pair(a, g, g).is_zero
+
+    @given(elements(), elements(), st.integers(0, 5), st.integers(0, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_additive(self, a, b, g_star, g):
+        combined = integrate_pair(add(a, b), g_star, g)
+        assert combined == add(integrate_pair(a, g_star, g), integrate_pair(b, g_star, g))
+
+    @given(elements(), st.integers(0, 5), st.integers(0, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_swapping_the_pair_flips_the_sign(self, a, g_star, g):
+        # left derivatives anticommute
+        swapped = integrate_pair(a, g, g_star)
+        negated = GrassmannElement(REG6, {mask: -coeff for mask, coeff in swapped.terms.items()})
+        assert integrate_pair(a, g_star, g) == negated
+
     @pytest.mark.parametrize("g_star, g", [(6, 0), (0, 6), (-1, 7), (2, -1)])
     def test_out_of_range_generator_message(self, g_star, g):
         # the innermost generator, g, is checked first
         bad = g_star if 0 <= g < REG6.size else g
         with pytest.raises(ValueError, match=f"^generator index {bad} outside registry of size 6$"):
             integrate_pair(monomial(REG6, [0, 1, 2]), g_star, g)
+
+
+# no subnormal entry, so doubling a column is exact in every product
+_ENTRIES = st.one_of(st.just(0.0), st.floats(2.0**-20, 4.0), st.floats(-4.0, -(2.0**-20)))
+_MATRICES = st.integers(1, GAUSSIAN_CAP).flatmap(lambda n: st.lists(
+    st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def _columns(m):
+    return [[(i, row[j]) for i, row in enumerate(m) if row[j]] for j in range(len(m))]
+
+
+def _exact_determinant(m):
+    """det m in exact rationals, by elimination with row swaps."""
+    rows = [[Fraction(v) for v in row] for row in m]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            factor = rows[i][k] / rows[k][k]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+    return det
 
 
 class TestGaussianIntegral:
@@ -162,6 +222,50 @@ class TestGaussianIntegral:
         # the product of the entries at any magnitude: 1e-16 is no dust to prune
         for d in ((2.0, 3.0), (1e-8, 1e-8)):
             assert _gaussian_columns([[(0, d[0])], [(1, d[1])]]) == d[0] * d[1]
+
+    def test_no_columns_is_one(self):
+        # the determinant of the empty matrix
+        assert _gaussian_columns([]) == 1.0
+
+    def test_zero_column_gives_zero(self):
+        assert _gaussian_columns([[(0, 2.0)], []]) == 0.0
+
+    def test_columns_on_one_row_give_zero(self):
+        # c0* c0* = 0
+        assert _gaussian_columns([[(0, 2.0)], [(0, 3.0)]]) == 0.0
+
+    @pytest.mark.parametrize("rows", list(itertools.permutations(range(3))), ids=str)
+    def test_permutation_matrix_is_its_sign(self, rows):
+        # column j holds a one in row rows[j]
+        inversions = sum(a > b for a, b in itertools.combinations(rows, 2))
+        assert _gaussian_columns([[(i, 1.0)] for i in rows]) == (-1.0) ** inversions
+
+    @given(st.integers(1, GAUSSIAN_CAP).flatmap(lambda n: st.lists(
+        st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)))
+    @settings(max_examples=100, deadline=None)
+    def test_upper_triangular_is_the_diagonal_product(self, m):
+        # at most one monomial survives each column, so the result is the product's own bits
+        n = len(m)
+        columns = [[(i, m[i][j]) for i in range(j + 1) if m[i][j]] for j in range(n)]
+        assert _gaussian_columns(columns) == math.prod(m[j][j] for j in range(n))
+
+    @given(_MATRICES, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_doubling_a_column_doubles_the_integral(self, m, data):
+        columns = _columns(m)
+        j = data.draw(st.integers(0, len(m) - 1))
+        doubled = [[(i, 2.0 * v) for i, v in column] if k == j else column
+                   for k, column in enumerate(columns)]
+        assert _gaussian_columns(doubled) == 2.0 * _gaussian_columns(columns)
+
+    @given(_MATRICES)
+    @settings(max_examples=100, deadline=None)
+    def test_is_the_exact_determinant_to_rounding(self, m):
+        # every product and sum rounds once, so the error is a few ulp of the permanent's bound
+        n = len(m)
+        bound = math.prod(sum(abs(row[j]) for row in m) for j in range(n))
+        got = _gaussian_columns(_columns(m))
+        assert abs(Fraction(got) - _exact_determinant(m)) <= 4 * n * 2.0**-52 * bound
 
     @given(st.integers(1, GAUSSIAN_CAP).flatmap(lambda n: st.lists(
         st.lists(st.one_of(st.just(0.0), st.floats(-1e150, 1e150)), min_size=n, max_size=n),

@@ -100,6 +100,35 @@ def test_exact_scheme_route_accuracy_between_grid_points(log_n, log_bw, log_omeg
     assert selftest._route_accuracy(point) <= 1.0
 
 
+def test_accuracy_draws_lie_in_the_property_domain():
+    draws = [selftest._accuracy_draw(k) for k in range(50)]
+    assert selftest._ACCURACY_GRID[-50:] == tuple(draws)
+    assert len(set(draws)) == 50
+    for n, beta, omega, scheme in draws:
+        assert scheme is SliceScheme.EXACT and isinstance(n, int) and 1 <= n <= 10**6
+        assert 0.25 <= omega <= 4.0
+        assert 1e-12 * (1 - 1e-15) <= beta * omega <= 700.0 * (1 + 1e-15)
+
+
+def test_max_coefficient_difference_of_equal_elements_is_zero():
+    a = add(monomial(selftest._REG6, [0, 1], 1.5), monomial(selftest._REG6, [2], -0.25))
+    assert selftest._max_coefficient_difference(a, a) == 0.0
+    empty = GrassmannElement(selftest._REG6, {})
+    assert selftest._max_coefficient_difference(empty, empty) == 0.0
+
+
+def test_max_coefficient_difference_counts_a_monomial_one_side_holds():
+    a, b = monomial(selftest._REG6, [0], 2.5), monomial(selftest._REG6, [1], -1.0)
+    assert selftest._max_coefficient_difference(a, b) == 2.5
+    assert selftest._max_coefficient_difference(b, a) == 2.5
+
+
+def test_max_coefficient_difference_is_the_largest_over_monomials():
+    a = GrassmannElement(selftest._REG6, {1: 1.0, 2: 5.0, 3: -2.0})
+    b = GrassmannElement(selftest._REG6, {1: 1.5, 2: 5.0, 3: -2.125})
+    assert selftest._max_coefficient_difference(a, b) == 0.5
+
+
 def _folded_elements(name, draw, count, lowest):
     """The catalogue's random elements as one add of one monomial per term."""
     rng = random.Random("%s:%d" % (name, draw))
