@@ -10,8 +10,11 @@ infinite coefficient raises ArithmeticError.  A registry is an ordered
 tuple of labels; which generators form a conjugate pair is the caller's
 layout.  Berezin integration is the left derivative, and ``integrate_pair``
 integrates any two generators, innermost first, so the pair integral of
-e^{-c* c} = 1 - c* c over dc* dc is 1; the coherent-state trace built on
-it lives in ``fermiosc.path_integral.close_boundary``.  The Gaussian
+e^{-c* c} = 1 - c* c over dc* dc is 1.  ``trace_product`` integrates a
+product over a pair under that measure as the product loop forms each
+term, and never forms a term whose integral is zero; the chain's
+compositions run it, and ``fermiosc.path_integral.close_boundary`` states
+the measure explicitly for the coherent-state trace.  The Gaussian
 integral of a quadratic form is the top coefficient of an exterior product
 of its columns, taken on the columns' nonzero entries; the determinant
 route's cross-check runs it on the discrete action's sparse columns.
@@ -38,6 +41,7 @@ __all__ = [
     "mul",
     "coefficient",
     "integrate_pair",
+    "trace_product",
     "substitute",
 ]
 
@@ -198,14 +202,37 @@ def _crossings(mask: int) -> int:
     return odd
 
 
+def _right(b: GrassmannElement) -> list[tuple[int, float, int]]:
+    return [(mb, cb, _crossings(mb)) for mb, cb in b.terms.items()]
+
+
+def _pair_sign(g_star: int, g: int) -> tuple[int, int, bool]:
+    """(both, between, odd) for integrating distinct ``g`` then ``g_star`` out of a monomial.
+
+    A mask that holds ``both`` bits loses them with sign
+    (-1)^(popcount(mask & between) + odd): g crosses the generators below
+    it, then g_star those below it but g.
+    """
+    return 1 << g | 1 << g_star, ((1 << g) - 1) ^ ((1 << g_star) - 1), g < g_star
+
+
 def _wedge(
-    terms: Mapping[int, float], right: Sequence[tuple[int, float, int]]
+    terms: Mapping[int, float],
+    right: Sequence[tuple[int, float, int]],
+    pair: tuple[int, int] | None = None,
 ) -> dict[int, float]:
     """The product loop: ``terms`` times ``right``'s (mask, coeff, _crossings(mask)) triples.
 
     Overlapping monomials vanish by nilpotency; the sums are returned
-    unpruned, for the caller's ``_kept``.
+    unpruned, for the caller's ``_kept``.  With a ``pair`` (g_star, g) of
+    distinct generators, each product term is traced over it as it is
+    formed, under the measure e^{-g_star g} = 1 - g_star g: a term that
+    holds both is integrated out with ``integrate_pair``'s sign, a term
+    that holds neither is kept (the measure's 1 integrates to zero and its
+    -g_star g to the term itself), and a term that holds one is not formed,
+    since its integral is zero.
     """
+    both, between, odd_pair = (0, 0, 0) if pair is None else _pair_sign(*pair)
     out: dict[int, float] = {}
     for ma, ca in terms.items():
         for mb, cb, odd in right:
@@ -213,6 +240,12 @@ def _wedge(
                 continue
             merged = ma | mb
             sign = -1 if (ma & odd).bit_count() & 1 else 1
+            if merged & both:
+                if merged & both != both:
+                    continue
+                if ((merged & between).bit_count() + odd_pair) & 1:
+                    sign = -sign
+                merged ^= both
             out[merged] = out.get(merged, 0.0) + ca * cb * sign
     return out
 
@@ -220,8 +253,7 @@ def _wedge(
 def mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     """Distributive product; overlapping monomials vanish by nilpotency."""
     _same_registry(a, b)
-    right = [(mb, cb, _crossings(mb)) for mb, cb in b.terms.items()]
-    return _build(a.registry, _wedge(a.terms, right))
+    return _build(a.registry, _wedge(a.terms, _right(b)))
 
 
 def integrate_pair(a: GrassmannElement, g_star: int, g: int) -> GrassmannElement:
@@ -238,15 +270,30 @@ def integrate_pair(a: GrassmannElement, g_star: int, g: int) -> GrassmannElement
     _check_generator(a.registry, g_star)
     out: dict[int, float] = {}
     if g != g_star:
-        both = 1 << g | 1 << g_star
-        # g crosses the generators below it, then g_star those below it but g
-        between = ((1 << g) - 1) ^ ((1 << g_star) - 1)
-        odd = g < g_star
+        both, between, odd = _pair_sign(g_star, g)
         for mask, coeff in a.terms.items():
             if mask & both == both:
                 flip = ((mask & between).bit_count() + odd) & 1
                 out[mask ^ both] = -coeff if flip else coeff
     return _build(a.registry, out)
+
+
+def trace_product(
+    a: GrassmannElement, b: GrassmannElement, g_star: int, g: int
+) -> GrassmannElement:
+    """int d``g_star`` d``g`` e^{-g_star g} a b, traced as the product is formed.
+
+    Equal to ``integrate_pair(mul(mul(a, 1 - g_star g), b), g_star, g)``,
+    without forming the terms whose integral is zero: only the products of
+    ``a`` and ``b`` terms that hold both generators or neither are summed.
+    ``g == g_star`` gives zero, as in ``integrate_pair``.
+    """
+    _same_registry(a, b)
+    _check_generator(a.registry, g)
+    _check_generator(a.registry, g_star)
+    if g == g_star:
+        return zero(a.registry)
+    return _build(a.registry, _wedge(a.terms, _right(b), (g_star, g)))
 
 
 def substitute(

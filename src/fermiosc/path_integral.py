@@ -2,8 +2,9 @@
 
 The imaginary-time propagator is the N-th power of the one-slice
 coherent-state kernel 1 + lambda c*(beta) c(0) under one composition, which
-relabels the shared time point, weighs it by its measure and integrates it
-out with Berezin integration.  Repeated squaring gives the kernel
+relabels the shared time point and traces it out under its measure, in one
+pass of the Grassmann product loop (``trace_product``).  Repeated squaring
+gives the kernel
 <c(beta)|e^{-beta H}|c(0)> = 1 + lambda^N c*(beta) c(0) in about 2 log2 N
 compositions, with lambda^N held in signed-log form so that it neither
 rounds per step nor cancels when the trace is closed.
@@ -35,6 +36,7 @@ from .grassmann import (
     one,
     register_generators,
     substitute,
+    trace_product,
 )
 from .oscillator import BoundaryCondition, validate_point
 
@@ -49,18 +51,16 @@ __all__ = [
 ]
 
 # Every kernel lives on these five generators: c(0), the boundary pair and a
-# spare pair, laid out in _PAIRS alone.  A kernel is 1 + q c*(beta) c(0); a
-# composition moves the shared time point of two kernels to the spare pair and
-# integrates it out there, so kernels of any N need only these five.
+# spare pair.  A kernel is 1 + q c*(beta) c(0); a composition moves the shared
+# time point of two kernels to the spare pair and traces it out there, so
+# kernels of any N need only these five.
 _REGISTRY = register_generators(["c(0)", "c(b)", "c*(b)", "c(t)", "c*(t)"])
 _C0 = 0
-_PAIRS = ((1, 2), (3, 4))  # (c, c*): the boundary pair, then the spare pair
-_CB, _CB_STAR = _PAIRS[0]
-_CT, _CT_STAR = _PAIRS[1]
-# e^{-c* c} = 1 - c* c, the coherent-state measure weight of each pair
-_WEIGHTS = tuple(
-    add(one(_REGISTRY), monomial(_REGISTRY, [star, c], -1.0)) for c, star in _PAIRS
-)
+_CB, _CB_STAR = 1, 2  # (c, c*) of the boundary pair
+_CT, _CT_STAR = 3, 4  # (c, c*) of the spare pair
+# e^{-c* c} = 1 - c* c, the coherent-state measure weight of the boundary pair;
+# the spare pair's is folded into trace_product
+_BOUNDARY_WEIGHT = add(one(_REGISTRY), monomial(_REGISTRY, [_CB_STAR, _CB], -1.0))
 
 
 class SliceScheme(enum.Enum):
@@ -220,14 +220,15 @@ def _kernel(q) -> GrassmannElement:
 def _compose(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     """The kernel of a, then b: int dc_t* dc_t e^{-c_t* c_t} b(c*(beta), c_t) a(c_t*, c(0)).
 
-    The shared time point c_t is relabelled onto the spare pair, weighed by
-    its coherent-state measure and integrated out (Negele & Orland, ch. 1,
-    the resolution of the identity), so 1 + p c*(beta) c(0) and
-    1 + q c*(beta) c(0) compose to 1 + pq c*(beta) c(0).
+    The shared time point c_t is relabelled onto the spare pair and traced
+    out there in one pass of the product loop, under its coherent-state
+    measure (Negele & Orland, ch. 1, the resolution of the identity), so
+    1 + p c*(beta) c(0) and 1 + q c*(beta) c(0) compose to
+    1 + pq c*(beta) c(0).
     """
     first = substitute(a, _CB_STAR, _CT_STAR)
     second = substitute(b, _C0, _CT)
-    return integrate_pair(mul(mul(first, _WEIGHTS[1]), second), _CT_STAR, _CT)
+    return trace_product(first, second, _CT_STAR, _CT)
 
 
 def contract_chain(chain: DiscretizedChain) -> PropagatorKernel:
@@ -269,7 +270,7 @@ def close_boundary(kernel: PropagatorKernel, bc: BoundaryCondition) -> float:
     """
     factor = -1.0 if bc is BoundaryCondition.ANTIPERIODIC else 1.0
     closed = substitute(kernel.element, _C0, _CB, factor)
-    return float(integrate_pair(mul(closed, _WEIGHTS[0]), _CB_STAR, _CB).scalar_part())
+    return float(integrate_pair(mul(closed, _BOUNDARY_WEIGHT), _CB_STAR, _CB).scalar_part())
 
 
 def _action_columns(n: int, lam, bc: BoundaryCondition) -> list[list[tuple[int, float]]]:

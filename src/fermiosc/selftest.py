@@ -148,6 +148,14 @@ def _canonical_anticommutation(_) -> float:
                                                  c @ c, c_dag @ c_dag)))
 
 
+def _ladder_commutator(omega: float) -> float:
+    import numpy as np
+
+    c_dag, _ = ladder_matrices()
+    h = hamiltonian(omega)
+    return float(np.max(np.abs(h @ c_dag - c_dag @ h - omega * c_dag)))
+
+
 def _density_spectrum(point) -> float:
     import numpy as np
 
@@ -258,6 +266,7 @@ INVARIANTS = (
               lambda _: abs(close_boundary(kernel_paper_form(0.0, 1.0), _AP) - 2.0)),
     Invariant("canonical-anticommutation", "|{c, c+} - 1|, |c c|, |c+ c+|", _ONCE, 0.0,
               _canonical_anticommutation),
+    Invariant("ladder-commutator", "|[H, c+] - omega c+|", _OMEGAS, 0.0, _ladder_commutator),
     Invariant("density-matrix-spectrum", "eigenvalue deviation", _GRID, 1e-12, _density_spectrum),
     Invariant("density-semigroup", "entrywise semigroup defect",
               tuple(itertools.product(_BETAS + (5.0,), _BETAS + (5.0,), _OMEGAS)), 1e-14,

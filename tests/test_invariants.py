@@ -9,11 +9,13 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermiosc import path_integral, selftest
 from fermiosc.grassmann import GAUSSIAN_CAP, GrassmannElement, add, monomial
+from fermiosc.oscillator import number_operator
 from fermiosc.path_integral import SliceScheme
 from fermiosc.selftest import INVARIANTS, Invariant, run_selftest
 
@@ -35,6 +37,16 @@ def test_nan_defect_fails_the_entry():
     # in the middle of the grid, where max(0.0, nan, 0.5) would return 0.5
     result = Invariant("nan", "defect", (0, 1, 2), 1.0, lambda p: (0.0, math.nan, 0.5)[p]).check()
     assert not result.passed and math.isnan(result.defect)
+
+
+def test_ladder_commutator_sees_inverted_levels(monkeypatch):
+    # H = omega (1 - n) commutes with the diagonal density matrix and keeps
+    # its spectrum, so only [H, c+] = omega c+ tells the levels apart
+    monkeypatch.setattr(selftest, "hamiltonian",
+                        lambda omega: omega * (np.eye(2) - number_operator()))
+    failed = [result for result in run_selftest() if not result.passed]
+    assert [result.name for result in failed] == ["ladder-commutator"]
+    assert failed[0].defect == 2.0 * max(selftest._OMEGAS)
 
 
 def test_route_accuracy_sees_a_skewed_step_log(monkeypatch):

@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermiosc import path_integral
+from fermiosc import path_integral, selftest
 from fermiosc.grassmann import (
     GAUSSIAN_CAP,
     add,
     coefficient,
+    integrate_pair,
     monomial,
     mul,
     one,
     register_generators,
+    substitute,
 )
 from fermiosc.oscillator import BoundaryCondition, closed_form_partition
 from fermiosc.path_integral import (
@@ -33,7 +35,8 @@ from fermiosc.selftest import _max_coefficient_difference
 AP = BoundaryCondition.ANTIPERIODIC
 P = BoundaryCondition.PERIODIC
 REGISTRY = kernel_paper_form(1.0, 1.0).element.registry
-C0, CB_STAR, CT = (REGISTRY.labels.index(label) for label in ("c(0)", "c*(b)", "c(t)"))
+C0, CB_STAR, CT, CT_STAR = (
+    REGISTRY.labels.index(label) for label in ("c(0)", "c*(b)", "c(t)", "c*(t)"))
 
 
 def boundary_kernel(q):
@@ -119,6 +122,26 @@ class TestContractChain:
         monkeypatch.setattr(path_integral, "_compose", counting)
         contract_chain(DiscretizedChain(n_steps, 1.0, 1.0))
         assert len(calls) <= 2 * (n_steps.bit_length() - 1)
+
+    def test_composition_is_the_five_call_form_to_the_bit(self, monkeypatch):
+        # relabel both kernels, weigh by 1 - c*(t) c(t), multiply and integrate:
+        # the traced product must give the same terms, hex and log
+        weight = add(one(REGISTRY), monomial(REGISTRY, [CT_STAR, CT], -1.0))
+
+        def five_calls(a, b):
+            first, second = substitute(a, CB_STAR, CT_STAR), substitute(b, C0, CT)
+            return integrate_pair(mul(mul(first, weight), second), CT_STAR, CT)
+
+        chains = [DiscretizedChain(*point) for point in selftest._ACCURACY_GRID]
+        traced = [contract_chain(chain).element.terms for chain in chains]
+        monkeypatch.setattr(path_integral, "_compose", five_calls)
+        for chain, got in zip(chains, traced):
+            want = contract_chain(chain).element.terms
+            assert list(got) == list(want), chain
+            assert [c.hex() for c in got.values()] == [c.hex() for c in want.values()], chain
+            prop = 1 << CB_STAR | 1 << C0
+            if prop in want:
+                assert got[prop].log == want[prop].log, chain
 
     @pytest.mark.parametrize("scheme", list(SliceScheme))
     @pytest.mark.parametrize("n_steps", [2, 3, 7, 64, 10**6])
