@@ -10,11 +10,11 @@ infinite coefficient raises ArithmeticError.  A registry is an ordered
 tuple of labels; which generators form a conjugate pair is the caller's
 layout.  Berezin integration is the left derivative, and ``integrate_pair``
 integrates any two generators, innermost first, so the pair integral of
-e^{-c* c} = 1 - c* c over dc* dc is 1.  ``trace_product`` integrates a
-product over a pair under that measure as the product loop forms each
-term, and never forms a term whose integral is zero; the chain's
-compositions run it, and ``fermiosc.path_integral.close_boundary`` states
-the measure explicitly for the coherent-state trace.  The Gaussian
+e^{-c* c} = 1 - c* c over dc* dc is 1.  The product loop can integrate a
+product over a pair under that measure as it forms each term, and never
+forms a term whose integral is zero; the chain's compositions run it, and
+``fermiosc.path_integral.close_boundary`` states the measure explicitly
+for the coherent-state trace.  The Gaussian
 integral of a quadratic form is the top coefficient of an exterior product
 of its columns, taken on the columns' nonzero entries; the determinant
 route's cross-check runs it on the discrete action's sparse columns.
@@ -41,7 +41,6 @@ __all__ = [
     "mul",
     "coefficient",
     "integrate_pair",
-    "trace_product",
     "substitute",
 ]
 
@@ -202,8 +201,8 @@ def _crossings(mask: int) -> int:
     return odd
 
 
-def _right(b: GrassmannElement) -> list[tuple[int, float, int]]:
-    return [(mb, cb, _crossings(mb)) for mb, cb in b.terms.items()]
+def _right(terms: Mapping[int, float]) -> list[tuple[int, float, int]]:
+    return [(mb, cb, _crossings(mb)) for mb, cb in terms.items()]
 
 
 def _pair_sign(g_star: int, g: int) -> tuple[int, int, bool]:
@@ -230,8 +229,11 @@ def _wedge(
     holds both is integrated out with ``integrate_pair``'s sign, a term
     that holds neither is kept (the measure's 1 integrates to zero and its
     -g_star g to the term itself), and a term that holds one is not formed,
-    since its integral is zero.
+    since its integral is zero.  A pair of one generator twice gives no
+    terms, as in ``integrate_pair``.
     """
+    if pair is not None and pair[0] == pair[1]:
+        return {}
     both, between, odd_pair = (0, 0, 0) if pair is None else _pair_sign(*pair)
     out: dict[int, float] = {}
     for ma, ca in terms.items():
@@ -253,7 +255,7 @@ def _wedge(
 def mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     """Distributive product; overlapping monomials vanish by nilpotency."""
     _same_registry(a, b)
-    return _build(a.registry, _wedge(a.terms, _right(b)))
+    return _build(a.registry, _wedge(a.terms, _right(b.terms)))
 
 
 def integrate_pair(a: GrassmannElement, g_star: int, g: int) -> GrassmannElement:
@@ -278,22 +280,25 @@ def integrate_pair(a: GrassmannElement, g_star: int, g: int) -> GrassmannElement
     return _build(a.registry, out)
 
 
-def trace_product(
-    a: GrassmannElement, b: GrassmannElement, g_star: int, g: int
-) -> GrassmannElement:
-    """int d``g_star`` d``g`` e^{-g_star g} a b, traced as the product is formed.
-
-    Equal to ``integrate_pair(mul(mul(a, 1 - g_star g), b), g_star, g)``,
-    without forming the terms whose integral is zero: only the products of
-    ``a`` and ``b`` terms that hold both generators or neither are summed.
-    ``g == g_star`` gives zero, as in ``integrate_pair``.
-    """
-    _same_registry(a, b)
-    _check_generator(a.registry, g)
-    _check_generator(a.registry, g_star)
-    if g == g_star:
-        return zero(a.registry)
-    return _build(a.registry, _wedge(a.terms, _right(b), (g_star, g)))
+def _relabelled(
+    terms: Mapping[int, float], old: int, new: int, factor: float = 1.0
+) -> dict[int, float]:
+    """``substitute``'s loop on a terms mapping; the sums are returned unpruned."""
+    old_bit = 1 << old
+    new_bit = 1 << new
+    out: dict[int, float] = {}
+    for mask, coeff in terms.items():
+        if not mask & old_bit:
+            out[mask] = out.get(mask, 0.0) + coeff
+            continue
+        rest = mask ^ old_bit
+        if rest & new_bit:
+            continue
+        swaps = (mask & (old_bit - 1)).bit_count() + (rest & (new_bit - 1)).bit_count()
+        signed = coeff * factor * (-1 if swaps & 1 else 1)
+        target = rest | new_bit
+        out[target] = out.get(target, 0.0) + signed
+    return out
 
 
 def substitute(
@@ -306,21 +311,7 @@ def substitute(
     """
     _check_generator(a.registry, old)
     _check_generator(a.registry, new)
-    old_bit = 1 << old
-    new_bit = 1 << new
-    out: dict[int, float] = {}
-    for mask, coeff in a.terms.items():
-        if not mask & old_bit:
-            out[mask] = out.get(mask, 0.0) + coeff
-            continue
-        rest = mask ^ old_bit
-        if rest & new_bit:
-            continue
-        swaps = (mask & (old_bit - 1)).bit_count() + (rest & (new_bit - 1)).bit_count()
-        signed = coeff * factor * (-1 if swaps & 1 else 1)
-        target = rest | new_bit
-        out[target] = out.get(target, 0.0) + signed
-    return _build(a.registry, out)
+    return _build(a.registry, _relabelled(a.terms, old, new, factor))
 
 
 def _gaussian_columns(columns) -> float:

@@ -3,8 +3,8 @@
 The imaginary-time propagator is the N-th power of the one-slice
 coherent-state kernel 1 + lambda c*(beta) c(0) under one composition, which
 relabels the shared time point and traces it out under its measure, in one
-pass of the Grassmann product loop (``trace_product``).  Repeated squaring
-gives the kernel
+pass of the Grassmann product loop that builds one element.  Repeated
+squaring gives the kernel
 <c(beta)|e^{-beta H}|c(0)> = 1 + lambda^N c*(beta) c(0) in about 2 log2 N
 compositions, with lambda^N held in signed-log form so that it neither
 rounds per step nor cancels when the trace is closed.
@@ -27,7 +27,11 @@ from collections import namedtuple
 from .grassmann import (
     GAUSSIAN_CAP,
     GrassmannElement,
+    _build,
     _gaussian_columns,
+    _relabelled,
+    _right,
+    _wedge,
     add,
     coefficient,
     integrate_pair,
@@ -36,7 +40,6 @@ from .grassmann import (
     one,
     register_generators,
     substitute,
-    trace_product,
 )
 from .oscillator import BoundaryCondition, validate_point
 
@@ -59,8 +62,10 @@ _C0 = 0
 _CB, _CB_STAR = 1, 2  # (c, c*) of the boundary pair
 _CT, _CT_STAR = 3, 4  # (c, c*) of the spare pair
 # e^{-c* c} = 1 - c* c, the coherent-state measure weight of the boundary pair;
-# the spare pair's is folded into trace_product
+# the spare pair's is folded into the product loop of _compose
 _BOUNDARY_WEIGHT = add(one(_REGISTRY), monomial(_REGISTRY, [_CB_STAR, _CB], -1.0))
+# 1 + c*(beta) c(0), the slice kernel before c(0) is scaled by its coefficient
+_UNIT_KERNEL = add(one(_REGISTRY), monomial(_REGISTRY, [_CB_STAR, _C0]))
 
 
 class SliceScheme(enum.Enum):
@@ -213,8 +218,7 @@ class PropagatorKernel(namedtuple("PropagatorKernel", "element")):
 
 def _kernel(q) -> GrassmannElement:
     """1 + q c*(beta) c(0); q scales c(0) through ``substitute``, which keeps its type."""
-    hop = substitute(monomial(_REGISTRY, [_CB_STAR, _C0]), _C0, _C0, q)
-    return add(one(_REGISTRY), hop)
+    return substitute(_UNIT_KERNEL, _C0, _C0, q)
 
 
 def _compose(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
@@ -224,11 +228,13 @@ def _compose(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     out there in one pass of the product loop, under its coherent-state
     measure (Negele & Orland, ch. 1, the resolution of the identity), so
     1 + p c*(beta) c(0) and 1 + q c*(beta) c(0) compose to
-    1 + pq c*(beta) c(0).
+    1 + pq c*(beta) c(0).  A kernel never holds the spare pair, so the
+    relabelling maps its terms one to one and unscaled, and only the traced
+    product is built (and checked for a non-finite coefficient).
     """
-    first = substitute(a, _CB_STAR, _CT_STAR)
-    second = substitute(b, _C0, _CT)
-    return trace_product(first, second, _CT_STAR, _CT)
+    first = _relabelled(a.terms, _CB_STAR, _CT_STAR)
+    second = _relabelled(b.terms, _C0, _CT)
+    return _build(_REGISTRY, _wedge(first, _right(second), (_CT_STAR, _CT)))
 
 
 def contract_chain(chain: DiscretizedChain) -> PropagatorKernel:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermiosc import path_integral, selftest
+from fermiosc import grassmann, path_integral, selftest
 from fermiosc.grassmann import (
     GAUSSIAN_CAP,
     add,
@@ -143,10 +143,67 @@ class TestContractChain:
             if prop in want:
                 assert got[prop].log == want[prop].log, chain
 
+    @pytest.mark.parametrize("n_steps", [1, 2, 7, 64, 10**6])
+    def test_one_substitute_and_one_element_per_composition(self, monkeypatch, n_steps):
+        # the structure of the chain, not its timing: no other public engine
+        # call, and each composition builds only its traced product
+        chain = DiscretizedChain(n_steps, 1.0, 1.0)
+        want = contract_chain(chain).element.terms
+
+        def refuse(*args):
+            raise AssertionError("contract_chain called a public engine function")
+
+        for name in ("mul", "integrate_pair", "add", "monomial", "one", "trace_product"):
+            monkeypatch.setattr(path_integral, name, refuse, raising=False)
+        calls = {"substitute": 0, "_compose": 0, "_build": 0}
+
+        def counting(name, f):
+            def counted(*args):
+                calls[name] += 1
+                return f(*args)
+            return counted
+
+        monkeypatch.setattr(path_integral, "substitute", counting("substitute", substitute))
+        compose = path_integral._compose
+        monkeypatch.setattr(path_integral, "_compose", counting("_compose", compose))
+        build = counting("_build", grassmann._build)
+        monkeypatch.setattr(grassmann, "_build", build)
+        monkeypatch.setattr(path_integral, "_build", build, raising=False)
+        got = contract_chain(chain).element.terms
+        assert list(got) == list(want)
+        assert [c.hex() for c in got.values()] == [c.hex() for c in want.values()]
+        prop = 1 << CB_STAR | 1 << C0
+        assert got[prop].log == want[prop].log
+        assert calls["substitute"] == 1
+        assert calls["_build"] == calls["_compose"] + 1
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            path_integral._SignedLog(*path_integral._log_step(DiscretizedChain(8, 1.0, 1.0))),
+            path_integral._SignedLog(*path_integral._log_step(
+                DiscretizedChain(1, 3.0, 1.0, SliceScheme.FIRST_ORDER))),
+            math.exp(-1.0),
+            path_integral._SignedLog(1.0, -800.0),
+        ],
+        ids=["signed-log", "negative-signed-log", "float", "underflowed"],
+    )
+    def test_slice_kernel_is_the_four_call_form_to_the_bit(self, q):
+        got = path_integral._kernel(q).terms
+        want = add(one(REGISTRY), substitute(monomial(REGISTRY, [CB_STAR, C0]), C0, C0, q)).terms
+        assert list(got) == list(want)
+        assert [c.hex() for c in got.values()] == [c.hex() for c in want.values()]
+        assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+        prop = 1 << CB_STAR | 1 << C0
+        if isinstance(q, path_integral._SignedLog) and prop in want:
+            assert got[prop].log == want[prop].log
+        assert (prop in got) == bool(q)
+
     @pytest.mark.parametrize("scheme", list(SliceScheme))
-    @pytest.mark.parametrize("n_steps", [2, 3, 7, 64, 10**6])
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 64, 10**6])
     def test_coefficient_stays_a_signed_log(self, n_steps, scheme):
-        kernel = contract_chain(DiscretizedChain(n_steps, 1.0, 1.0, scheme))
+        # N = 1 is the slice kernel itself; beta*omega = 1 would make its first-order lambda 0
+        kernel = contract_chain(DiscretizedChain(n_steps, 0.5, 1.0, scheme))
         q = kernel.element.terms[1 << CB_STAR | 1 << C0]
         assert type(q) is path_integral._SignedLog
         negated = -q
