@@ -30,10 +30,8 @@ from collections import namedtuple
 from typing import Mapping, NamedTuple, Sequence
 
 __all__ = [
-    "GAUSSIAN_CAP",
     "GeneratorRegistry",
     "GrassmannElement",
-    "register_generators",
     "monomial",
     "zero",
     "one",
@@ -43,10 +41,6 @@ __all__ = [
     "integrate_pair",
     "substitute",
 ]
-
-# Largest action dimension whose Gaussian integral the determinant route expands.
-GAUSSIAN_CAP = 8
-
 
 class GeneratorRegistry(namedtuple("GeneratorRegistry", "labels")):
     """Ordered set of generator labels; the order is the canonical monomial order."""
@@ -65,11 +59,6 @@ class GeneratorRegistry(namedtuple("GeneratorRegistry", "labels")):
     @property
     def size(self) -> int:
         return len(self.labels)
-
-
-def register_generators(labels: Sequence[str]) -> GeneratorRegistry:
-    """Create a registry whose canonical order is the input label order."""
-    return GeneratorRegistry(labels)
 
 
 class GrassmannElement(NamedTuple):

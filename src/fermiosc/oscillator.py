@@ -1,7 +1,9 @@
 """Two-level operator algebra for the fermionic harmonic oscillator.
 
-Everything here is closed-form 2x2 linear algebra in the basis (|1>, |0>),
-the ordering in which the thermal density matrix reads diag(e^{-beta*omega}, 1).
+Everything here is closed-form 2x2 linear algebra.  ``ladder_matrices``
+states the basis, occupied first (|1>, |0>); the number operator n, the
+parity P, the Hamiltonian H and the thermal density matrix rho are derived
+from it, so in that basis rho reads diag(e^{-beta*omega}, 1).
 The module owns Z-+: the trace/supertrace choice (BoundaryCondition) and
 the continuum closed form 1 +- e^{-beta*omega} (closed_form_partition),
 which equals Tr rho and Str rho and is the ground truth for the
@@ -73,15 +75,16 @@ def ladder_matrices() -> tuple[np.ndarray, np.ndarray]:
 
 
 def number_operator() -> np.ndarray:
+    """n = c_dagger c, the projector onto the occupied state."""
     c_dagger, c = ladder_matrices()
     return c_dagger @ c
 
 
 def parity_operator() -> np.ndarray:
-    """(-1)^N, realized as diag(-1, 1) in the (|1>, |0>) basis."""
+    """(-1)^n = 1 - 2n, exact since n^2 = n."""
     import numpy as np
 
-    return np.diag([-1.0, 1.0])
+    return np.eye(2) - 2.0 * number_operator()
 
 
 def hamiltonian(omega: float) -> np.ndarray:
@@ -91,11 +94,12 @@ def hamiltonian(omega: float) -> np.ndarray:
 
 
 def density_matrix(beta: float, omega: float) -> np.ndarray:
-    """Unnormalized thermal operator exp(-beta H): diag(e^{-beta*omega}, 1)."""
+    """Unnormalized thermal operator exp(-beta H) = e^{-beta*omega} n + (1 - n), as n^2 = n."""
     import numpy as np
 
     validate_point(beta, omega)
-    return np.diag([math.exp(-beta * omega), 1.0])
+    n = number_operator()
+    return math.exp(-beta * omega) * n + (np.eye(2) - n)
 
 
 def partition_trace(rho: np.ndarray) -> float:

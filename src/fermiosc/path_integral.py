@@ -25,7 +25,7 @@ import math
 from collections import namedtuple
 
 from .grassmann import (
-    GAUSSIAN_CAP,
+    GeneratorRegistry,
     GrassmannElement,
     _build,
     _gaussian_columns,
@@ -38,7 +38,6 @@ from .grassmann import (
     monomial,
     mul,
     one,
-    register_generators,
     substitute,
 )
 from .oscillator import BoundaryCondition, validate_point
@@ -51,13 +50,14 @@ __all__ = [
     "kernel_paper_form",
     "close_boundary",
     "partition_via_determinant",
+    "GAUSSIAN_CAP",
 ]
 
 # Every kernel lives on these five generators: c(0), the boundary pair and a
 # spare pair.  A kernel is 1 + q c*(beta) c(0); a composition moves the shared
 # time point of two kernels to the spare pair and traces it out there, so
 # kernels of any N need only these five.
-_REGISTRY = register_generators(["c(0)", "c(b)", "c*(b)", "c(t)", "c*(t)"])
+_REGISTRY = GeneratorRegistry(["c(0)", "c(b)", "c*(b)", "c(t)", "c*(t)"])
 _C0 = 0
 _CB, _CB_STAR = 1, 2  # (c, c*) of the boundary pair
 _CT, _CT_STAR = 3, 4  # (c, c*) of the spare pair
@@ -315,6 +315,10 @@ def _one_plus(chain: DiscretizedChain, sign: float) -> float:
     if (step_sign < 0 and n % 2 == 1) == (sign > 0.0):
         return -math.expm1(n * log_abs) + 0.0  # + 0.0: never -0.0
     return 1.0 + math.exp(n * log_abs)
+
+
+# Largest action dimension whose Gaussian integral the determinant route expands.
+GAUSSIAN_CAP = 8
 
 
 def partition_via_determinant(chain: DiscretizedChain, bc: BoundaryCondition) -> float:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermiosc.grassmann import (
-    GAUSSIAN_CAP,
     GeneratorRegistry,
     GrassmannElement,
     _build,
@@ -20,12 +19,12 @@ from fermiosc.grassmann import (
     monomial,
     mul,
     one,
-    register_generators,
     substitute,
 )
+from fermiosc.path_integral import GAUSSIAN_CAP
 from fermiosc.selftest import _max_coefficient_difference
 
-REG6 = register_generators(["g%d" % i for i in range(6)])
+REG6 = GeneratorRegistry(["g%d" % i for i in range(6)])
 
 
 def zero6():
@@ -47,19 +46,19 @@ def elements(draw, max_terms=6):
 
 class TestRegistry:
     def test_plain_construction(self):
-        reg = register_generators(["c0", "c0*", "c1", "c1*"])
+        reg = GeneratorRegistry(["c0", "c0*", "c1", "c1*"])
         assert reg.size == 4
         assert reg.labels == ("c0", "c0*", "c1", "c1*")
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            register_generators(["c", "c"])
+            GeneratorRegistry(["c", "c"])
 
     def test_built_from_a_list_is_hashable_and_keeps_its_size(self):
         labels = ["a", "b"]
         reg = GeneratorRegistry(labels)
         labels.append("c")
-        assert hash(reg) == hash(register_generators(["a", "b"]))
+        assert hash(reg) == hash(GeneratorRegistry(["a", "b"]))
         assert reg.size == 2 and reg.labels == ("a", "b")
 
 
@@ -125,7 +124,7 @@ def _left_derivative(a, g):
 
 
 class TestIntegratePair:
-    REG = register_generators(["c", "c*"])
+    REG = GeneratorRegistry(["c", "c*"])
 
     def test_oriented_pair_is_unity(self):
         cc_star = monomial(self.REG, [0, 1])
@@ -209,7 +208,7 @@ class TestTraceProduct:
         assert traced_product(a, b, g, g).is_zero
 
     def test_other_registry_rejected(self):
-        other = register_generators(["h%d" % i for i in range(6)])
+        other = GeneratorRegistry(["h%d" % i for i in range(6)])
         for left, right in ((one(REG6), one(other)), (one(other), one(REG6))):
             with pytest.raises(ValueError, match="different generator registries"):
                 mul(left, right)
@@ -320,7 +319,7 @@ class TestGaussianIntegral:
         # the product psi_1 ... psi_n by mul, on one element per column
         n = len(m)
         columns = [[(i, row[j]) for i, row in enumerate(m) if row[j]] for j in range(n)]
-        registry = register_generators([f"c{i}*" for i in range(1, n + 1)])
+        registry = GeneratorRegistry([f"c{i}*" for i in range(1, n + 1)])
         elements = [GrassmannElement(registry, {1 << i: v for i, v in column}) for column in columns]
         try:
             want = repr(functools.reduce(mul, elements).terms.get((1 << n) - 1, 0.0))
@@ -352,7 +351,7 @@ class TestSubstitute:
 @settings(max_examples=150, deadline=None)
 def test_product_sign_matches_written_order(order, split, end):
     # monomial() sorts the written order by its own transposition count
-    reg = register_generators(["h%d" % i for i in range(40)])
+    reg = GeneratorRegistry(["h%d" % i for i in range(40)])
     left, right = order[:split], order[split:max(split, end)]
     assert mul(monomial(reg, left), monomial(reg, right)) == monomial(reg, left + right)
 

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermiosc import path_integral, selftest
-from fermiosc.grassmann import GAUSSIAN_CAP, GrassmannElement, add, monomial
-from fermiosc.oscillator import number_operator
-from fermiosc.path_integral import SliceScheme
+from fermiosc import oscillator, path_integral, selftest
+from fermiosc.grassmann import GrassmannElement, add, monomial
+from fermiosc.oscillator import density_matrix, ladder_matrices, number_operator, parity_operator
+from fermiosc.path_integral import GAUSSIAN_CAP, SliceScheme
 from fermiosc.selftest import INVARIANTS, Invariant, run_selftest
 
 
@@ -39,14 +39,37 @@ def test_nan_defect_fails_the_entry():
     assert not result.passed and math.isnan(result.defect)
 
 
-def test_ladder_commutator_sees_inverted_levels(monkeypatch):
-    # H = omega (1 - n) commutes with the diagonal density matrix and keeps
-    # its spectrum, so only [H, c+] = omega c+ tells the levels apart
-    monkeypatch.setattr(selftest, "hamiltonian",
-                        lambda omega: omega * (np.eye(2) - number_operator()))
-    failed = [result for result in run_selftest() if not result.passed]
-    assert [result.name for result in failed] == ["ladder-commutator"]
-    assert failed[0].defect == 2.0 * max(selftest._OMEGAS)
+# the entries that read the 2x2 operators; no other entry calls them
+_OPERATOR_ENTRIES = ("canonical-anticommutation", "ladder-commutator", "density-is-boltzmann",
+                     "antiperiodic-matches-trace", "periodic-matches-supertrace")
+
+
+@pytest.mark.parametrize("module, name, fault, failing", [
+    (selftest, "hamiltonian", lambda w: w * (number_operator() + 0.5 * np.eye(2)),
+     ["density-is-boltzmann"]),
+    (selftest, "hamiltonian", lambda w: w * number_operator() + 0.1 * ladder_matrices()[0],
+     ["density-is-boltzmann"]),
+    (selftest, "density_matrix", lambda b, w: density_matrix(b, w) * (1.0 + 1e-13),
+     ["density-is-boltzmann"]),
+    (selftest, "density_matrix", lambda b, w: density_matrix(b, w) + 1e-3 * (1.0 - np.eye(2)),
+     ["density-is-boltzmann"]),
+    # H = omega (1 - n) keeps the eigenvectors and the size of the level spacing
+    (selftest, "hamiltonian", lambda w: w * (np.eye(2) - number_operator()),
+     ["ladder-commutator", "density-is-boltzmann"]),
+    (oscillator, "parity_operator", lambda: -parity_operator(), ["periodic-matches-supertrace"]),
+    (selftest, "density_matrix", lambda b, w: density_matrix(b, w)[::-1, ::-1],
+     ["density-is-boltzmann", "periodic-matches-supertrace"]),
+], ids=["H=w(n+1/2)", "H=wn+0.1c+", "rho*(1+1e-13)", "rho+1e-3-off-diagonal", "H=w(1-n)",
+        "flipped-parity", "rho-in-swapped-basis"])
+def test_operator_entries_see_the_fault(monkeypatch, module, name, fault, failing):
+    entries = [invariant for invariant in INVARIANTS if invariant.name in _OPERATOR_ENTRIES]
+    assert len(entries) == len(_OPERATOR_ENTRIES)
+    monkeypatch.setattr(module, name, fault)
+    failed = {result.name: result for result in map(Invariant.check, entries)
+              if not result.passed}
+    assert list(failed) == failing
+    if "ladder-commutator" in failed:  # [H, c+] = -omega c+ where it should be omega c+
+        assert failed["ladder-commutator"].defect == 2.0 * max(selftest._OMEGAS)
 
 
 def test_route_accuracy_sees_a_skewed_step_log(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fermiosc
+from fermiosc import oscillator
 from fermiosc.oscillator import (
     BoundaryCondition,
     closed_form_partition,
@@ -33,6 +34,17 @@ def test_ladder_entries():
 def test_number_operator_projects_occupied_state():
     # occupied state first in the basis ordering, so N = diag(1, 0)
     assert np.array_equal(number_operator(), np.diag([1.0, 0.0]))
+
+
+def test_operators_follow_the_ladder_basis(monkeypatch):
+    # ladder_matrices is the one statement of the basis: swap its pair, and n, P, H
+    # and rho follow it into the empty-first basis
+    c_dag, c = ladder_matrices()
+    monkeypatch.setattr(oscillator, "ladder_matrices", lambda: (c, c_dag))
+    assert np.array_equal(number_operator(), np.diag([0.0, 1.0]))
+    assert np.array_equal(parity_operator(), np.diag([1.0, -1.0]))
+    assert np.array_equal(hamiltonian(2.0), np.diag([0.0, 2.0]))
+    assert np.array_equal(density_matrix(1.0, 2.0), np.diag([1.0, math.exp(-2.0)]))
 
 
 def test_parity_flips_occupied_state():

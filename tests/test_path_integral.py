@@ -10,18 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from fermiosc import grassmann, path_integral, selftest
 from fermiosc.grassmann import (
-    GAUSSIAN_CAP,
+    GeneratorRegistry,
     add,
     coefficient,
     integrate_pair,
     monomial,
     mul,
     one,
-    register_generators,
     substitute,
 )
 from fermiosc.oscillator import BoundaryCondition, closed_form_partition
 from fermiosc.path_integral import (
+    GAUSSIAN_CAP,
     DiscretizedChain,
     PropagatorKernel,
     SliceScheme,
@@ -228,7 +228,7 @@ class TestContractChain:
     [
         (monomial(REGISTRY, [C0]), "unexpected monomials"),
         (add(one(REGISTRY), monomial(REGISTRY, [CB_STAR, CT])), "unexpected monomials"),
-        (one(register_generators(["c", "c*"])), "another generator registry"),
+        (one(GeneratorRegistry(["c", "c*"])), "another generator registry"),
     ],
     ids=["stray-c0", "stray-cb-star-ct", "foreign-registry"],
 )

@@ -10,11 +10,11 @@ import pickle
 
 import pytest
 
-from fermiosc.grassmann import monomial, one, register_generators
+from fermiosc.grassmann import GeneratorRegistry, monomial, one
 from fermiosc.path_integral import DiscretizedChain, contract_chain
 from fermiosc.selftest import INVARIANTS, CheckResult
 
-_LABELS = register_generators(["c", "c*"])
+_LABELS = GeneratorRegistry(["c", "c*"])
 _CHAIN = DiscretizedChain(4, 1.0, 1.0)
 _KERNEL = contract_chain(_CHAIN)
 _RECORDS = [_LABELS, one(_LABELS), _CHAIN, _KERNEL, CheckResult("x", True, "", 0.0),
@@ -68,7 +68,7 @@ def test_record_round_trips_and_its_fields_are_read_only(record):
 
 
 def test_a_record_holding_terms_is_unhashable():
-    assert hash(_LABELS) == hash(register_generators(["c", "c*"]))
+    assert hash(_LABELS) == hash(GeneratorRegistry(["c", "c*"]))
     assert hash(_CHAIN) == hash(DiscretizedChain(4, 1.0, 1.0))
     for record in (one(_LABELS), _KERNEL):
         with pytest.raises(TypeError, match="unhashable"):
