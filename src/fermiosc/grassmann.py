@@ -311,9 +311,9 @@ def _gaussian_columns(columns) -> float:
     prod_j (1 - psi_j cj) with psi_j = sum_i M_ij ci*.  Integrating each cj
     leaves psi_j, and the ci* integrals pick the coefficient of
     c1* ... cn* in psi_1 ... psi_n, which is det M (Berezin, *The Method of
-    Second Quantization*, 1966).  The product is ``mul``'s product loop;
-    after k factors it has at most C(n, k) terms.  The columns are not
-    checked: callers build them from validated input.
+    Second Quantization*, 1966).  ``mul``'s product loop forms the product: after
+    k factors it has at most C(n, k) terms, and at most min(k + 1, n) on the action's
+    columns.  The columns are not checked: callers build them from validated input.
     """
     form = {0: 1.0}
     for column in columns:

@@ -47,7 +47,6 @@ __all__ = [
     "DiscretizedChain",
     "PropagatorKernel",
     "contract_chain",
-    "kernel_paper_form",
     "close_boundary",
     "partition_via_determinant",
     "GAUSSIAN_CAP",
@@ -254,16 +253,6 @@ def contract_chain(chain: DiscretizedChain) -> PropagatorKernel:
         if n & 1:
             element = power if element is None else _compose(element, power)
     return PropagatorKernel(element)
-
-
-def kernel_paper_form(beta: float, omega: float) -> PropagatorKernel:
-    """The closed-form kernel 1 + e^{-beta*omega} c*(beta) c(0).
-
-    This is the full exponential exp(e^{-beta*omega} c*(beta) c(0)): the
-    exponent squares to zero, so the expansion stops at first order.
-    """
-    validate_point(beta, omega)
-    return PropagatorKernel(_kernel(math.exp(-beta * omega)))
 
 
 def close_boundary(kernel: PropagatorKernel, bc: BoundaryCondition) -> float:

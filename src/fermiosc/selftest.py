@@ -5,7 +5,7 @@ the defect at one point; it passes when the worst defect over its grid is
 within the tolerance.  Randomized entries seed one generator per draw from
 the entry name and the draw index, so every entry gives the same result
 alone or in any order.  Route accuracy is stated once, in the entry
-``route-relative-accuracy``: every route against one 50-digit model.
+``route-relative-accuracy``: every route against one decimal model.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .oscillator import (
     density_matrix,
     hamiltonian,
     ladder_matrices,
+    number_operator,
     partition_trace,
     supertrace,
 )
@@ -41,7 +42,6 @@ from .path_integral import (
     _SignedLog,
     close_boundary,
     contract_chain,
-    kernel_paper_form,
     partition_via_determinant,
 )
 
@@ -49,7 +49,6 @@ __all__ = ["CheckResult", "Invariant", "INVARIANTS", "run_selftest"]
 
 _OMEGAS = (0.5, 1.0, 2.0)
 _GRID = tuple(itertools.product((0.1, 0.5, 1.0, 2.0, 5.0), _OMEGAS))
-_ONCE = (None,)
 _AP, _P = BoundaryCondition.ANTIPERIODIC, BoundaryCondition.PERIODIC
 _REG6 = GeneratorRegistry(["g%d" % k for k in range(6)])
 _GENERATORS = tuple(monomial(_REG6, [i]) for i in range(_REG6.size))
@@ -102,7 +101,7 @@ def _max_coefficient_difference(a: GrassmannElement, b: GrassmannElement) -> flo
 
 
 def _rel(got: float, ref: float) -> float:
-    return abs(got - ref) / abs(ref)
+    return abs(got - ref) / max(abs(ref), 2.0**-1022)
 
 
 def _random_elements(
@@ -165,19 +164,36 @@ def _density_is_boltzmann(point) -> float:
     return float(np.max(np.abs(density_matrix(beta, omega) - boltzmann)))
 
 
+def _kernel_is_density(point) -> float:
+    """Worst error over its bound of the exact-scheme kernels at N = 1 and 7 against rho.
+
+    A diagonal A has the kernel <0|A|0> + <1|A|1> c* c' (Negele & Orland, ch. 1),
+    so ``coeff_id`` and ``coeff_prop`` are held to Tr((1 - n) rho) and Tr(n rho)
+    at 4 ulp * max(1, beta*omega), and the closures to Tr rho and Str rho at 1e-12.
+    """
+    rho, n = density_matrix(*point), number_operator()
+    ulps = 4 * 2.0**-52 * max(1.0, point[0] * point[1])
+    wants = ((float((rho - n @ rho).trace()), ulps), (float((n @ rho).trace()), ulps),
+             (partition_trace(rho), 1e-12), (supertrace(rho), 1e-12))
+    kernels = [contract_chain(DiscretizedChain(steps, *point)) for steps in (1, 7)]
+    return max(_rel(got, want) / bound for k in kernels for got, (want, bound) in zip(
+        (k.coeff_id, k.coeff_prop, close_boundary(k, _AP), close_boundary(k, _P)), wants))
+
+
 def _route_accuracy(point) -> float:
-    """Each route's worst relative error against a 50-digit model, over the route's bound.
+    """Each route's worst relative error against a decimal model, over the route's bound.
 
     The model is lambda^N, lambda = e^{-x} or 1 - x on the exact double
-    x = epsilon*omega, so it shares no float step log with a route; at N = 1
-    in the exact scheme x is beta*omega, so 1 +- lambda is also
-    ``closed_form_partition``'s Z-+.  For N <= ``GAUSSIAN_CAP`` the Gaussian
-    expansion of the action's columns, on the chain's signed-log lambda, is
-    a third route.  Bounds: 1e-15 (determinant, closed form, exact-scheme
-    chain), min(1e-14, 16 ulp * L) (first-order chain) and 4 ulp * L
-    (``coeff_prop``), L = max(1, |ln lambda^N|); the Gaussian is held to
-    the chain's bound.  Errors are relative to at least 2^-1022, for an
-    underflowed lambda^N.  ``coeff_id`` must be 1.0 exactly.
+    x = epsilon*omega, to 50 digits plus one per decade of x below 1 and over
+    the widest exponents, so it keeps x and shares no float step log with a
+    route; at N = 1 in the exact scheme x is beta*omega, so 1 +- lambda is
+    also ``closed_form_partition``'s Z-+.  For N <= ``GAUSSIAN_CAP`` the
+    Gaussian expansion of the action's columns, on the chain's signed-log
+    lambda, is a third route.  Bounds: 1e-15 (determinant, closed form,
+    exact-scheme chain), min(1e-14, 16 ulp * L) (first-order chain) and
+    4 ulp * L (``coeff_prop``), L = max(1, |ln lambda^N|); the Gaussian is
+    held to the chain's bound.  Errors are relative to at least 2^-1022, for
+    an underflowed lambda^N.  ``coeff_id`` must be 1.0 exactly.
     """
     import decimal
 
@@ -187,8 +203,9 @@ def _route_accuracy(point) -> float:
         return math.inf
     exact = chain.scheme is SliceScheme.EXACT
     with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        x = decimal.Decimal(chain.epsilon * chain.omega)
+        x = decimal.Decimal(chain.epsilon * chain.omega)  # exact at any precision
+        ctx.prec = 50 + max(0, -x.adjusted())
+        ctx.Emin, ctx.Emax = decimal.MIN_EMIN, decimal.MAX_EMAX
         power = ((-x).exp() if exact else 1 - x) ** chain.n_steps
         floor = decimal.Decimal(2.0**-1022)
         scaled_ulp = 2.0**-52 * max(1.0, abs(math.log(max(abs(power), floor))))
@@ -242,21 +259,15 @@ INVARIANTS = (
     Invariant("constant-free-power-vanishes", "|a^7| for constant-free a", range(50), 0.0,
               _power_of_constant_free),
     Invariant("product-associativity", "|(ab)c - a(bc)|", range(200), 1e-12, _associativity),
-    Invariant("trace-normalization", "|trace of the zero-beta kernel - 2|", _ONCE, 1e-14,
-              lambda _: abs(close_boundary(kernel_paper_form(0.0, 1.0), _AP) - 2.0)),
-    Invariant("canonical-anticommutation", "|{c, c+} - 1|, |c c|, |c+ c+|", _ONCE, 0.0,
+    Invariant("canonical-anticommutation", "|{c, c+} - 1|, |c c|, |c+ c+|", (None,), 0.0,
               _canonical_anticommutation),
     Invariant("ladder-commutator", "|[H, c+] - omega c+|", _OMEGAS, 0.0, _ladder_commutator),
     Invariant("density-is-boltzmann", "|rho - e^(-beta H)| on eig(H)", _GRID, 1e-15,
               _density_is_boltzmann),
+    Invariant("chain-kernel-is-density-operator", "kernel error over its bound against rho",
+              _GRID + ((0.0, 1.0),), 1.0, _kernel_is_density),
     Invariant("route-relative-accuracy", "route error over its bound", _ACCURACY_GRID, 1.0,
               _route_accuracy),
-    Invariant("antiperiodic-matches-trace", "relative closure/trace mismatch", _GRID, 1e-12,
-              lambda p: _rel(close_boundary(kernel_paper_form(*p), _AP),
-                             partition_trace(density_matrix(*p)))),
-    Invariant("periodic-matches-supertrace", "relative closure/supertrace mismatch", _GRID,
-              1e-12, lambda p: _rel(close_boundary(kernel_paper_form(*p), _P),
-                                    supertrace(density_matrix(*p)))),
     Invariant("step-count-convergence", "|error ratio - 2| per doubling", (_AP, _P), 0.2,
               _halving_defect),
 )

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from fermiosc import oscillator, path_integral, selftest
 from fermiosc.grassmann import GrassmannElement, add, monomial
 from fermiosc.oscillator import density_matrix, ladder_matrices, number_operator, parity_operator
-from fermiosc.path_integral import GAUSSIAN_CAP, SliceScheme
+from fermiosc.path_integral import GAUSSIAN_CAP, PropagatorKernel, SliceScheme
 from fermiosc.selftest import INVARIANTS, Invariant, run_selftest
 
 
@@ -41,7 +41,20 @@ def test_nan_defect_fails_the_entry():
 
 # the entries that read the 2x2 operators; no other entry calls them
 _OPERATOR_ENTRIES = ("canonical-anticommutation", "ladder-commutator", "density-is-boltzmann",
-                     "antiperiodic-matches-trace", "periodic-matches-supertrace")
+                     "chain-kernel-is-density-operator")
+
+
+def _scaled_prop(chain):
+    """The chain's kernel with coeff_prop off by 1e-13 relative."""
+    element = path_integral.contract_chain(chain).element
+    terms = {m: c * (1.0 + 1e-13) if m else c for m, c in element.terms.items()}
+    return PropagatorKernel(GrassmannElement(element.registry, terms))
+
+
+def _swapped_closure(kernel, bc):
+    """The closure under the other boundary condition."""
+    swapped = selftest._P if bc is selftest._AP else selftest._AP
+    return path_integral.close_boundary(kernel, swapped)
 
 
 @pytest.mark.parametrize("module, name, fault, failing", [
@@ -50,17 +63,20 @@ _OPERATOR_ENTRIES = ("canonical-anticommutation", "ladder-commutator", "density-
     (selftest, "hamiltonian", lambda w: w * number_operator() + 0.1 * ladder_matrices()[0],
      ["density-is-boltzmann"]),
     (selftest, "density_matrix", lambda b, w: density_matrix(b, w) * (1.0 + 1e-13),
-     ["density-is-boltzmann"]),
+     ["density-is-boltzmann", "chain-kernel-is-density-operator"]),
     (selftest, "density_matrix", lambda b, w: density_matrix(b, w) + 1e-3 * (1.0 - np.eye(2)),
      ["density-is-boltzmann"]),
     # H = omega (1 - n) keeps the eigenvectors and the size of the level spacing
     (selftest, "hamiltonian", lambda w: w * (np.eye(2) - number_operator()),
      ["ladder-commutator", "density-is-boltzmann"]),
-    (oscillator, "parity_operator", lambda: -parity_operator(), ["periodic-matches-supertrace"]),
+    (oscillator, "parity_operator", lambda: -parity_operator(),
+     ["chain-kernel-is-density-operator"]),
     (selftest, "density_matrix", lambda b, w: density_matrix(b, w)[::-1, ::-1],
-     ["density-is-boltzmann", "periodic-matches-supertrace"]),
+     ["density-is-boltzmann", "chain-kernel-is-density-operator"]),
+    (selftest, "contract_chain", _scaled_prop, ["chain-kernel-is-density-operator"]),
+    (selftest, "close_boundary", _swapped_closure, ["chain-kernel-is-density-operator"]),
 ], ids=["H=w(n+1/2)", "H=wn+0.1c+", "rho*(1+1e-13)", "rho+1e-3-off-diagonal", "H=w(1-n)",
-        "flipped-parity", "rho-in-swapped-basis"])
+        "flipped-parity", "rho-in-swapped-basis", "coeff_prop*(1+1e-13)", "swapped-closure"])
 def test_operator_entries_see_the_fault(monkeypatch, module, name, fault, failing):
     entries = [invariant for invariant in INVARIANTS if invariant.name in _OPERATOR_ENTRIES]
     assert len(entries) == len(_OPERATOR_ENTRIES)
@@ -123,6 +139,13 @@ def test_route_accuracy_where_the_gaussian_runs():
         beta_omegas, SliceScheme, range(1, GAUSSIAN_CAP + 1)
     ):
         assert selftest._route_accuracy((n, beta, omega, scheme)) <= 1.0, (n, beta, omega, scheme)
+
+
+def test_route_accuracy_where_x_is_below_the_model_digits():
+    # x = epsilon*omega is about 5.5e-52, so a 50-digit e^{-x} rounds to 1 and
+    # the model reads 1 - lambda^N = 0 where both routes are 1.6e-16 off
+    point = (77418786712550, 9.468619383790343e-38, 0.4521471948356784, SliceScheme.EXACT)
+    assert selftest._route_accuracy(point) <= 1.0
 
 
 # between the entry's grid points: N log-uniform in 1..10^6, beta*omega

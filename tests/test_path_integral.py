@@ -27,14 +27,13 @@ from fermiosc.path_integral import (
     SliceScheme,
     close_boundary,
     contract_chain,
-    kernel_paper_form,
     partition_via_determinant,
 )
 from fermiosc.selftest import _max_coefficient_difference
 
 AP = BoundaryCondition.ANTIPERIODIC
 P = BoundaryCondition.PERIODIC
-REGISTRY = kernel_paper_form(1.0, 1.0).element.registry
+REGISTRY = contract_chain(DiscretizedChain(1, 1.0, 1.0)).element.registry
 C0, CB_STAR, CT, CT_STAR = (
     REGISTRY.labels.index(label) for label in ("c(0)", "c*(b)", "c(t)", "c*(t)"))
 
@@ -42,6 +41,11 @@ C0, CB_STAR, CT, CT_STAR = (
 def boundary_kernel(q):
     """1 + q c*(beta) c(0) on the chain registry."""
     return PropagatorKernel(add(one(REGISTRY), monomial(REGISTRY, [CB_STAR, C0], q)))
+
+
+def paper_form(beta, omega):
+    """The N = 1 exact-scheme chain: the paper's kernel 1 + e^{-beta*omega} c*(beta) c(0)."""
+    return contract_chain(DiscretizedChain(1, beta, omega))
 
 
 def _rel_error(z, want):
@@ -90,12 +94,12 @@ class TestContractChain:
 
     def test_prints_like_the_paper_form(self):
         chain_kernel = contract_chain(DiscretizedChain(4, 1.0, 1.0)).element
-        assert repr(chain_kernel) == repr(kernel_paper_form(1.0, 1.0).element)
+        assert repr(chain_kernel) == repr(paper_form(1.0, 1.0).element)
 
     def test_coefficients_compare_as_floats(self):
         chain = DiscretizedChain(4, 1.0, 1.0)
         element = contract_chain(chain).element
-        assert _max_coefficient_difference(element, kernel_paper_form(1.0, 1.0).element) == 0.0
+        assert _max_coefficient_difference(element, paper_form(1.0, 1.0).element) == 0.0
         assert element == contract_chain(chain).element
         assert coefficient(element, [CB_STAR, C0]) == math.exp(-1.0)
 
@@ -238,31 +242,33 @@ def test_propagator_kernel_validates_element(element, message):
 
 
 class TestPaperFormKernel:
+    """The paper's kernel, as the one-slice exact chain gives it."""
+
     def test_zero_beta_coefficients(self):
-        kernel = kernel_paper_form(0.0, 1.0)
+        kernel = paper_form(0.0, 1.0)
         assert (kernel.coeff_id, kernel.coeff_prop) == (1.0, 1.0)
 
     def test_propagation_coefficient(self):
-        kernel = kernel_paper_form(math.log(2.0), 1.0)
+        kernel = paper_form(math.log(2.0), 1.0)
         assert kernel.coeff_prop == pytest.approx(0.5, rel=1e-15)
 
     def test_exponent_squares_to_zero(self):
         exponent = monomial(REGISTRY, [CB_STAR, C0], math.exp(-1.0))
         assert mul(exponent, exponent).is_zero
-        assert add(one(REGISTRY), exponent) == kernel_paper_form(1.0, 1.0).element
+        assert add(one(REGISTRY), exponent) == paper_form(1.0, 1.0).element
 
 
 class TestCloseBoundary:
     def test_antiperiodic_value(self):
-        z = close_boundary(kernel_paper_form(1.0, 1.0), AP)
+        z = close_boundary(paper_form(1.0, 1.0), AP)
         assert z == pytest.approx(1.0 + math.exp(-1.0), rel=1e-14)
 
     def test_periodic_value(self):
-        z = close_boundary(kernel_paper_form(1.0, 1.0), P)
+        z = close_boundary(paper_form(1.0, 1.0), P)
         assert z == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
 
     def test_zero_beta_counts_states(self):
-        kernel = kernel_paper_form(0.0, 1.0)
+        kernel = paper_form(0.0, 1.0)
         assert close_boundary(kernel, AP) == 2.0
         assert close_boundary(kernel, P) == 0.0
 
