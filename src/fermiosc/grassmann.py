@@ -8,16 +8,15 @@ convention and no sign drift between operations.  Only coefficients that
 are exactly zero are pruned, so no small term is lost, and a NaN or
 infinite coefficient raises ArithmeticError.  A registry is an ordered
 tuple of labels; which generators form a conjugate pair is the caller's
-layout.  Berezin integration is the left derivative, and ``integrate_pair``
-integrates any two generators, innermost first, so the pair integral of
-e^{-c* c} = 1 - c* c over dc* dc is 1.  The product loop can integrate a
-product over a pair under that measure as it forms each term, and never
-forms a term whose integral is zero; the chain's compositions run it, and
-``fermiosc.path_integral.close_boundary`` states the measure explicitly
-for the coherent-state trace.  The Gaussian
-integral of a quadratic form is the top coefficient of an exterior product
-of its columns, taken on the columns' nonzero entries; the determinant
-route's cross-check runs it on the discrete action's sparse columns.
+layout.  Berezin integration is the left derivative, taken innermost
+first.  ``mul`` given a pair (g_star, g) returns the product integrated
+over d``g_star`` d``g`` under the coherent-state measure
+e^{-g_star g} = 1 - g_star g, tracing each term as the product loop forms
+it, so no term whose integral is zero is formed; the chain's compositions
+and the closure of its time circle both run it.  The Gaussian integral of a
+quadratic form is the top coefficient of an exterior product of its
+columns, taken on the columns' nonzero entries; the determinant route's
+cross-check runs it on the discrete action's sparse columns.
 
 All values are immutable after construction and every operation is a pure
 function; elements may be shared freely across threads.
@@ -33,12 +32,10 @@ __all__ = [
     "GeneratorRegistry",
     "GrassmannElement",
     "monomial",
-    "zero",
     "one",
     "add",
     "mul",
     "coefficient",
-    "integrate_pair",
     "substitute",
 ]
 
@@ -66,7 +63,7 @@ class GrassmannElement(NamedTuple):
 
     Stored masks always encode strictly increasing index sets, and every
     stored coefficient is finite and nonzero.  Build instances through
-    :func:`monomial`, :func:`zero`, :func:`one` or the module's functions,
+    :func:`monomial`, :func:`one` or the module's functions,
     never by mutating ``terms``.
     """
 
@@ -120,10 +117,6 @@ def _check_generator(registry: GeneratorRegistry, g: int) -> None:
         raise ValueError(f"generator index {g} outside registry of size {registry.size}")
 
 
-def zero(registry: GeneratorRegistry) -> GrassmannElement:
-    return GrassmannElement(registry, {})
-
-
 def one(registry: GeneratorRegistry) -> GrassmannElement:
     return GrassmannElement(registry, {0: 1.0})
 
@@ -156,7 +149,7 @@ def monomial(
     """
     mask, sign = _ordered_mask_sign(registry, indices)
     if sign == 0:
-        return zero(registry)
+        return GrassmannElement(registry, {})
     return _build(registry, {mask: sign * float(coeff)})
 
 
@@ -194,16 +187,6 @@ def _right(terms: Mapping[int, float]) -> list[tuple[int, float, int]]:
     return [(mb, cb, _crossings(mb)) for mb, cb in terms.items()]
 
 
-def _pair_sign(g_star: int, g: int) -> tuple[int, int, bool]:
-    """(both, between, odd) for integrating distinct ``g`` then ``g_star`` out of a monomial.
-
-    A mask that holds ``both`` bits loses them with sign
-    (-1)^(popcount(mask & between) + odd): g crosses the generators below
-    it, then g_star those below it but g.
-    """
-    return 1 << g | 1 << g_star, ((1 << g) - 1) ^ ((1 << g_star) - 1), g < g_star
-
-
 def _wedge(
     terms: Mapping[int, float],
     right: Sequence[tuple[int, float, int]],
@@ -214,16 +197,23 @@ def _wedge(
     Overlapping monomials vanish by nilpotency; the sums are returned
     unpruned, for the caller's ``_kept``.  With a ``pair`` (g_star, g) of
     distinct generators, each product term is traced over it as it is
-    formed, under the measure e^{-g_star g} = 1 - g_star g: a term that
-    holds both is integrated out with ``integrate_pair``'s sign, a term
-    that holds neither is kept (the measure's 1 integrates to zero and its
-    -g_star g to the term itself), and a term that holds one is not formed,
-    since its integral is zero.  A pair of one generator twice gives no
-    terms, as in ``integrate_pair``.
+    formed, under the measure e^{-g_star g} = 1 - g_star g.  A term that
+    holds both is integrated out, by the left derivative in g and then in
+    g_star: it loses them with sign (-1)^(popcount(term & between) + odd),
+    as g crosses the generators below it, then g_star those below it but g.
+    A term that holds neither is kept (the measure's 1 integrates to zero
+    and its -g_star g to the term itself), and a term that holds one is not
+    formed, since its integral is zero.  A pair of one generator twice
+    gives no terms, since the left derivative squares to zero.
     """
-    if pair is not None and pair[0] == pair[1]:
-        return {}
-    both, between, odd_pair = (0, 0, 0) if pair is None else _pair_sign(*pair)
+    both = between = odd_pair = 0
+    if pair is not None:
+        g_star, g = pair
+        if g == g_star:
+            return {}
+        both = 1 << g | 1 << g_star
+        between = ((1 << g) - 1) ^ ((1 << g_star) - 1)
+        odd_pair = g < g_star
     out: dict[int, float] = {}
     for ma, ca in terms.items():
         for mb, cb, odd in right:
@@ -241,32 +231,22 @@ def _wedge(
     return out
 
 
-def mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    """Distributive product; overlapping monomials vanish by nilpotency."""
-    _same_registry(a, b)
-    return _build(a.registry, _wedge(a.terms, _right(b.terms)))
+def mul(
+    a: GrassmannElement, b: GrassmannElement, pair: tuple[int, int] | None = None
+) -> GrassmannElement:
+    """Distributive product; overlapping monomials vanish by nilpotency.
 
-
-def integrate_pair(a: GrassmannElement, g_star: int, g: int) -> GrassmannElement:
-    """Double Berezin integral d``g_star`` d``g`` over any two generators, innermost first.
-
-    Berezin integration in a generator is the left derivative in it.  The
-    differential closest to the integrand acts first, so the pair integral
-    of ``c c*`` is 1.  By definition this is the left derivative in ``g``,
-    then in ``g_star``; it is taken in one pass over the monomials that
-    hold both generators, with the sign of the two derivatives, so
-    ``g == g_star`` gives zero.
+    Given a ``pair`` (g_star, g) of any two generators, it returns
+    int dg_star dg e^{-g_star g} a b, traced over the pair as ``_wedge``
+    forms each term.  The differential closest to the integrand acts
+    first, so the pair integral of ``c c*`` is 1, and ``g == g_star`` gives
+    zero.  ``g`` is checked before ``g_star``.
     """
-    _check_generator(a.registry, g)
-    _check_generator(a.registry, g_star)
-    out: dict[int, float] = {}
-    if g != g_star:
-        both, between, odd = _pair_sign(g_star, g)
-        for mask, coeff in a.terms.items():
-            if mask & both == both:
-                flip = ((mask & between).bit_count() + odd) & 1
-                out[mask ^ both] = -coeff if flip else coeff
-    return _build(a.registry, out)
+    _same_registry(a, b)
+    if pair is not None:
+        _check_generator(a.registry, pair[1])
+        _check_generator(a.registry, pair[0])
+    return _build(a.registry, _wedge(a.terms, _right(b.terms), pair))
 
 
 def _relabelled(

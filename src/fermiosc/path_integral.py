@@ -9,13 +9,14 @@ squaring gives the kernel
 compositions, with lambda^N held in signed-log form so that it neither
 rounds per step nor cancels when the trace is closed.
 The closure is the coherent-state trace int dc* dc e^{-c* c} K(c*, -+c)
-(Negele & Orland, ch. 1-2): antiperiodic gives the physical partition
-function 1 + e^{-beta*omega}, periodic the graded partition function
-1 - e^{-beta*omega}.  The same numbers come out of the determinant of the
-discrete action's quadratic form, which doubles as an independent route
-for cross-validation; that matrix is unit lower-bidiagonal plus one corner,
-so the determinant is 1 +- lambda^N in closed form (Blankenbecler,
-Scalapino & Sugar, PRD 24, 2278 (1981)).
+(Negele & Orland, ch. 1-2), the same traced product run over the boundary
+pair: antiperiodic gives the physical partition function 1 + e^{-beta*omega},
+periodic the graded partition function 1 - e^{-beta*omega}.  The same
+numbers come out of the determinant of the discrete action's quadratic
+form, which doubles as an independent route for cross-validation; that
+matrix is unit lower-bidiagonal plus one corner, so the determinant is
+1 +- lambda^N in closed form (Blankenbecler, Scalapino & Sugar, PRD 24,
+2278 (1981)).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .grassmann import (
     _wedge,
     add,
     coefficient,
-    integrate_pair,
     monomial,
     mul,
     one,
@@ -60,9 +60,6 @@ _REGISTRY = GeneratorRegistry(["c(0)", "c(b)", "c*(b)", "c(t)", "c*(t)"])
 _C0 = 0
 _CB, _CB_STAR = 1, 2  # (c, c*) of the boundary pair
 _CT, _CT_STAR = 3, 4  # (c, c*) of the spare pair
-# e^{-c* c} = 1 - c* c, the coherent-state measure weight of the boundary pair;
-# the spare pair's is folded into the product loop of _compose
-_BOUNDARY_WEIGHT = add(one(_REGISTRY), monomial(_REGISTRY, [_CB_STAR, _CB], -1.0))
 # 1 + c*(beta) c(0), the slice kernel before c(0) is scaled by its coefficient
 _UNIT_KERNEL = add(one(_REGISTRY), monomial(_REGISTRY, [_CB_STAR, _C0]))
 
@@ -260,12 +257,13 @@ def close_boundary(kernel: PropagatorKernel, bc: BoundaryCondition) -> float:
 
     Computes int dc*(beta) dc(beta) e^{-c*(beta) c(beta)} K(c*(beta), -+c(beta)):
     substitutes c(0) -> -c(beta) (antiperiodic) or c(0) -> +c(beta)
-    (periodic), weighs by 1 - c*(beta) c(beta) and integrates the boundary
-    pair.  On 1 + q c*(beta) c(0) this returns 1 + q or 1 - q.
+    (periodic), then traces the boundary pair out of the product with 1
+    under its measure, as ``_compose`` traces the spare pair.  On
+    1 + q c*(beta) c(0) this returns 1 + q or 1 - q.
     """
     factor = -1.0 if bc is BoundaryCondition.ANTIPERIODIC else 1.0
     closed = substitute(kernel.element, _C0, _CB, factor)
-    return float(integrate_pair(mul(closed, _BOUNDARY_WEIGHT), _CB_STAR, _CB).scalar_part())
+    return float(mul(closed, one(_REGISTRY), (_CB_STAR, _CB)).scalar_part())
 
 
 def _action_columns(n: int, lam, bc: BoundaryCondition) -> list[list[tuple[int, float]]]:

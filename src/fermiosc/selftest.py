@@ -245,13 +245,15 @@ def _accuracy_draw(draw: int) -> tuple:
 
 
 # N x beta*omega x scheme with omega cycling, then _GRID as N = 1 exact-scheme
-# points, then 50 seeded draws
-_ACCURACY_GRID = tuple(
-    (n, bw / w, w, s) for (n, bw, s), w in zip(
+# points, then 50 seeded draws; a point the product already holds is kept once
+_ACCURACY_GRID = tuple(dict.fromkeys(itertools.chain(
+    ((n, bw / w, w, s) for (n, bw, s), w in zip(
         itertools.product((1, 2, 3, 7, 8, 9, 64, 10**4, 10**6),
                           (1e-12, 1e-6, 0.3, 1.0, 35.5, 700.0), SliceScheme),
-        itertools.cycle(_OMEGAS))
-) + tuple((1, b, w, SliceScheme.EXACT) for b, w in _GRID) + tuple(map(_accuracy_draw, range(50)))
+        itertools.cycle(_OMEGAS))),
+    ((1, b, w, SliceScheme.EXACT) for b, w in _GRID),
+    map(_accuracy_draw, range(50)),
+)))
 
 INVARIANTS = (
     Invariant("generator-anticommutation", "|g_i g_j + g_j g_i|",

@@ -9,13 +9,9 @@ from hypothesis import given, settings, strategies as st
 from fermiosc.grassmann import (
     GeneratorRegistry,
     GrassmannElement,
-    _build,
     _gaussian_columns,
-    _right,
-    _wedge,
     add,
     coefficient,
-    integrate_pair,
     monomial,
     mul,
     one,
@@ -31,14 +27,16 @@ def zero6():
     return GrassmannElement(REG6, {})
 
 
+# multiples of 1/16 in [-4, 4]: the sums of their few products are exact
+DYADIC = st.integers(-64, 64).map(lambda k: k / 16.0)
+
+
 @st.composite
-def elements(draw, max_terms=6):
+def elements(draw, max_terms=6, coefficients=st.floats(-4.0, 4.0, allow_nan=False)):
     el = zero6()
     for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
         mask = draw(st.integers(min_value=0, max_value=63))
-        coeff = draw(
-            st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
-        )
+        coeff = draw(coefficients)
         indices = [i for i in range(6) if mask >> i & 1]
         el = add(el, monomial(REG6, indices, coeff))
     return el
@@ -123,89 +121,90 @@ def _left_derivative(a, g):
         for mask, coeff in a.terms.items() if mask & bit})
 
 
-class TestIntegratePair:
+def integrated(a, g_star, g):
+    """The bare pair integral over d``g_star`` d``g``: the left derivative in g, then in g_star."""
+    return _left_derivative(_left_derivative(a, g), g_star)
+
+
+class TestPairedProduct:
+    """``mul(a, b, (g_star, g))`` is int dg_star dg e^{-g_star g} a b."""
+
     REG = GeneratorRegistry(["c", "c*"])
 
     def test_oriented_pair_is_unity(self):
         cc_star = monomial(self.REG, [0, 1])
-        assert integrate_pair(cc_star, 1, 0) == one(self.REG)
+        assert mul(cc_star, one(self.REG), (1, 0)) == one(self.REG)
 
-    def test_gaussian_weight_is_unity(self):
+    def test_measure_is_normalized(self):
+        for reg, pair in ((self.REG, (1, 0)), (REG6, (4, 1))):
+            assert mul(one(reg), one(reg), pair) == one(reg)
+
+    def test_gaussian_weight_twice_gives_two(self):
+        # int dc* dc e^{-c* c} e^{-c* c} = int dc* dc (1 - 2 c* c) = 2
         weight = add(one(self.REG), monomial(self.REG, [1, 0], -1.0))
-        assert integrate_pair(weight, 1, 0) == one(self.REG)
+        assert mul(weight, one(self.REG), (1, 0)) == monomial(self.REG, [], 2.0)
 
-    def test_constant_drops(self):
-        assert integrate_pair(one(self.REG), 1, 0).is_zero
-
-    @given(elements())
-    @settings(max_examples=100, deadline=None)
-    def test_is_the_left_derivative_in_g_then_g_star(self, a):
-        for g_star, g in itertools.product(range(REG6.size), repeat=2):
-            nested = _left_derivative(_left_derivative(a, g), g_star)
-            # same monomials, coefficients and order, so later sums round alike
-            assert list(integrate_pair(a, g_star, g).terms.items()) == list(nested.terms.items())
-
-    def test_rest_of_the_monomial_passes_through(self):
-        assert integrate_pair(monomial(REG6, [0, 1, 2, 3]), 1, 0) == monomial(REG6, [2, 3])
-
-    def test_pair_anticommutes_past_a_generator_between(self):
-        # d/dg1 d/dg0 (g0 g2 g1) = d/dg1 (g2 g1) = -g2
-        assert integrate_pair(monomial(REG6, [0, 2, 1]), 1, 0) == monomial(REG6, [2], -1.0)
-
-    def test_absent_generator(self):
-        for indices in ([0, 2], [1, 2], [2, 3]):
-            assert integrate_pair(monomial(REG6, indices), 1, 0).is_zero
-
-    @given(elements(), st.integers(min_value=0, max_value=5))
-    @settings(max_examples=100, deadline=None)
-    def test_same_generator_twice_gives_zero(self, a, g):
-        # the left derivative squares to zero
-        assert integrate_pair(a, g, g).is_zero
-
-    @given(elements(), elements(), st.integers(0, 5), st.integers(0, 5))
-    @settings(max_examples=100, deadline=None)
-    def test_additive(self, a, b, g_star, g):
-        combined = integrate_pair(add(a, b), g_star, g)
-        assert combined == add(integrate_pair(a, g_star, g), integrate_pair(b, g_star, g))
-
-    @given(elements(), st.integers(0, 5), st.integers(0, 5))
-    @settings(max_examples=100, deadline=None)
-    def test_swapping_the_pair_flips_the_sign(self, a, g_star, g):
-        # left derivatives anticommute
-        swapped = integrate_pair(a, g, g_star)
-        negated = GrassmannElement(REG6, {mask: -coeff for mask, coeff in swapped.terms.items()})
-        assert integrate_pair(a, g_star, g) == negated
-
-    @pytest.mark.parametrize("g_star, g", [(6, 0), (0, 6), (-1, 7), (2, -1)])
-    def test_out_of_range_generator_message(self, g_star, g):
-        # the innermost generator, g, is checked first
-        bad = g_star if 0 <= g < REG6.size else g
-        with pytest.raises(ValueError, match=f"^generator index {bad} outside registry of size 6$"):
-            integrate_pair(monomial(REG6, [0, 1, 2]), g_star, g)
-
-
-def traced_product(a, b, g_star, g):
-    """int dg_star dg e^{-g_star g} a b, traced over the pair by the product loop."""
-    return _build(REG6, _wedge(a.terms, _right(b.terms), (g_star, g)))
-
-
-class TestTraceProduct:
     @given(elements(), elements())
     @settings(max_examples=100, deadline=None)
     def test_is_the_weighed_product_integrated(self, a, b):
         # every ordered pair: adjacent or not, either orientation, generators between
         for g_star, g in itertools.permutations(range(REG6.size), 2):
             weight = add(one(REG6), monomial(REG6, [g_star, g], -1.0))
-            want = integrate_pair(mul(mul(a, weight), b), g_star, g)
-            assert _max_coefficient_difference(traced_product(a, b, g_star, g), want) <= 1e-12
+            want = integrated(mul(mul(a, weight), b), g_star, g)
+            assert _max_coefficient_difference(mul(a, b, (g_star, g)), want) <= 1e-12
 
-    def test_measure_is_normalized(self):
-        assert traced_product(one(REG6), one(REG6), 4, 1) == one(REG6)
+    @given(elements())
+    @settings(max_examples=100, deadline=None)
+    def test_is_the_bare_integral_plus_the_terms_holding_neither(self, a):
+        # exact: each term of the result sums at most two terms of a, unscaled
+        for g_star, g in itertools.permutations(range(REG6.size), 2):
+            both = 1 << g | 1 << g_star
+            neither = GrassmannElement(REG6, {m: c for m, c in a.terms.items() if not m & both})
+            assert mul(a, one(REG6), (g_star, g)) == add(integrated(a, g_star, g), neither)
+
+    def test_rest_of_the_monomial_passes_through(self):
+        assert mul(monomial(REG6, [0, 1, 2, 3]), one(REG6), (1, 0)) == monomial(REG6, [2, 3])
+
+    def test_pair_anticommutes_past_a_generator_between(self):
+        # d/dg1 d/dg0 (g0 g2 g1) = d/dg1 (g2 g1) = -g2
+        assert mul(monomial(REG6, [0, 2, 1]), one(REG6), (1, 0)) == monomial(REG6, [2], -1.0)
+
+    def test_absent_generator(self):
+        # a term that holds one pair generator integrates to zero, and one that
+        # holds neither is the measure's -g_star g integrated
+        for indices in ([0, 2], [1, 2]):
+            assert mul(monomial(REG6, indices), one(REG6), (1, 0)).is_zero
+        assert mul(monomial(REG6, [2, 3]), one(REG6), (1, 0)) == monomial(REG6, [2, 3])
 
     @given(elements(), elements(), st.integers(0, 5))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_same_generator_twice_gives_zero(self, a, b, g):
-        assert traced_product(a, b, g, g).is_zero
+        # the left derivative squares to zero
+        assert mul(a, b, (g, g)).is_zero
+
+    @given(*[elements(coefficients=DYADIC)] * 3, st.integers(0, 5), st.integers(0, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_additive(self, a, b, c, g_star, g):
+        combined = mul(add(a, b), c, (g_star, g))
+        assert combined == add(mul(a, c, (g_star, g)), mul(b, c, (g_star, g)))
+
+    @given(elements(coefficients=DYADIC), elements(coefficients=DYADIC),
+           st.integers(0, 5), st.integers(0, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_swapping_the_pair_flips_the_sign_of_the_integral(self, a, b, g_star, g):
+        # left derivatives anticommute, and e^{-g g_star} = 1 + g_star g, so the
+        # two orientations sum to twice the terms of ab that hold neither generator
+        both = 1 << g | 1 << g_star
+        twice = {m: 2.0 * c for m, c in mul(a, b).terms.items() if not m & both}
+        total = add(mul(a, b, (g_star, g)), mul(a, b, (g, g_star)))
+        assert total.terms == (twice if g != g_star else {})
+
+    @pytest.mark.parametrize("g_star, g", [(6, 0), (0, 6), (-1, 7), (2, -1)])
+    def test_out_of_range_generator_message(self, g_star, g):
+        # the innermost generator, g, is checked first
+        bad = g_star if 0 <= g < REG6.size else g
+        with pytest.raises(ValueError, match=f"^generator index {bad} outside registry of size 6$"):
+            mul(monomial(REG6, [0, 1, 2]), one(REG6), (g_star, g))
 
     def test_other_registry_rejected(self):
         other = GeneratorRegistry(["h%d" % i for i in range(6)])
@@ -218,12 +217,12 @@ class TestTraceProduct:
         # a term holding neither pair generator, and one holding both
         big = monomial(REG6, left, 1e200)
         with pytest.raises(ArithmeticError, match="non-finite"):
-            traced_product(big, monomial(REG6, right, 1e200), 1, 0)
+            mul(big, monomial(REG6, right, 1e200), (1, 0))
 
     def test_term_holding_one_pair_generator_is_not_formed(self):
         # its integral is zero, so its overflow is never computed
         big = monomial(REG6, [0], 1e200)
-        assert traced_product(big, monomial(REG6, [3], 1e200), 1, 0).is_zero
+        assert mul(big, monomial(REG6, [3], 1e200), (1, 0)).is_zero
 
 
 # no subnormal entry, so doubling a column is exact in every product

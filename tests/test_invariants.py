@@ -148,13 +148,16 @@ def test_route_accuracy_where_x_is_below_the_model_digits():
     assert selftest._route_accuracy(point) <= 1.0
 
 
-# between the entry's grid points: N log-uniform in 1..10^6, beta*omega
-# log-uniform in [1e-12, 700], omega in [1/4, 4]
-@given(st.floats(0.0, 6.0), st.floats(-12.0, math.log10(700.0)), st.floats(-2.0, 2.0))
+# between the entry's grid points, over the domain validate_point accepts:
+# N log-uniform in 1..10^18, beta*omega log-uniform in [5e-324, 1e300] or
+# beta = 0 (None), omega in [1/4, 4]
+@given(st.floats(0.0, 18.0), st.none() | st.floats(math.log10(5e-324), 300.0),
+       st.floats(-2.0, 2.0))
 @settings(max_examples=200, deadline=None)
 def test_exact_scheme_route_accuracy_between_grid_points(log_n, log_bw, log_omega):
     omega = 2.0**log_omega
-    point = (round(10.0**log_n), 10.0**log_bw / omega, omega, SliceScheme.EXACT)
+    beta = 0.0 if log_bw is None else 10.0**log_bw / omega
+    point = (round(10.0**log_n), beta, omega, SliceScheme.EXACT)
     assert selftest._route_accuracy(point) <= 1.0
 
 
@@ -166,6 +169,11 @@ def test_accuracy_draws_lie_in_the_property_domain():
         assert scheme is SliceScheme.EXACT and isinstance(n, int) and 1 <= n <= 10**6
         assert 0.25 <= omega <= 4.0
         assert 1e-12 * (1 - 1e-15) <= beta * omega <= 700.0 * (1 + 1e-15)
+
+
+def test_accuracy_grid_holds_each_point_once():
+    # the product's N = 1 row and _GRID share (1, 1.0, 1.0, exact)
+    assert len(set(selftest._ACCURACY_GRID)) == len(selftest._ACCURACY_GRID) == 172
 
 
 def test_max_coefficient_difference_of_equal_elements_is_zero():

@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,6 @@ from fermiosc.grassmann import (
     GeneratorRegistry,
     add,
     coefficient,
-    integrate_pair,
     monomial,
     mul,
     one,
@@ -30,12 +30,13 @@ from fermiosc.path_integral import (
     partition_via_determinant,
 )
 from fermiosc.selftest import _max_coefficient_difference
+from test_grassmann import integrated
 
 AP = BoundaryCondition.ANTIPERIODIC
 P = BoundaryCondition.PERIODIC
 REGISTRY = contract_chain(DiscretizedChain(1, 1.0, 1.0)).element.registry
-C0, CB_STAR, CT, CT_STAR = (
-    REGISTRY.labels.index(label) for label in ("c(0)", "c*(b)", "c(t)", "c*(t)"))
+C0, CB, CB_STAR, CT, CT_STAR = (
+    REGISTRY.labels.index(label) for label in ("c(0)", "c(b)", "c*(b)", "c(t)", "c*(t)"))
 
 
 def boundary_kernel(q):
@@ -134,7 +135,7 @@ class TestContractChain:
 
         def five_calls(a, b):
             first, second = substitute(a, CB_STAR, CT_STAR), substitute(b, C0, CT)
-            return integrate_pair(mul(mul(first, weight), second), CT_STAR, CT)
+            return integrated(mul(mul(first, weight), second), CT_STAR, CT)
 
         chains = [DiscretizedChain(*point) for point in selftest._ACCURACY_GRID]
         traced = [contract_chain(chain).element.terms for chain in chains]
@@ -157,7 +158,7 @@ class TestContractChain:
         def refuse(*args):
             raise AssertionError("contract_chain called a public engine function")
 
-        for name in ("mul", "integrate_pair", "add", "monomial", "one", "trace_product"):
+        for name in ("mul", "add", "monomial", "one"):
             monkeypatch.setattr(path_integral, name, refuse, raising=False)
         calls = {"substitute": 0, "_compose": 0, "_build": 0}
 
@@ -275,6 +276,19 @@ class TestCloseBoundary:
     def test_bare_identity_kernel(self):
         kernel = PropagatorKernel(one(REGISTRY))
         assert [close_boundary(kernel, bc) for bc in (AP, P)] == [1.0, 1.0]
+
+    def test_closure_is_the_three_call_form_to_the_bit(self):
+        # substitute, weigh by 1 - c*(beta) c(beta) and integrate the boundary
+        # pair: the traced product must give the same float, hex for hex
+        weight = add(one(REGISTRY), monomial(REGISTRY, [CB_STAR, CB], -1.0))
+        points = [*selftest._ACCURACY_GRID, (8, 0.0, 1.0, SliceScheme.EXACT),
+                  (8, 800.0, 1.0, SliceScheme.EXACT)]
+        for point in points:
+            kernel = contract_chain(DiscretizedChain(*point))
+            for bc, factor in ((AP, -1.0), (P, 1.0)):
+                closed = substitute(kernel.element, C0, CB, factor)
+                want = float(integrated(mul(closed, weight), CB_STAR, CB).scalar_part())
+                assert close_boundary(kernel, bc).hex() == want.hex(), (point, bc)
 
     @given(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
     def test_linear_in_kernel_coefficient(self, q):
@@ -395,6 +409,22 @@ class TestDeterminantRoute:
             chain = DiscretizedChain(n_steps, 1.0, 1.0)
             assert partition_via_determinant(chain, AP) == pytest.approx(1.0 + math.exp(-1.0))
         assert sizes == [1, GAUSSIAN_CAP]
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+@pytest.mark.parametrize("n_steps", [2, 3, 7, 1000])
+def test_first_order_overflow_threshold_in_both_routes(n_steps, side):
+    # |lambda^N| = (x - 1)^N reaches the largest double at x - 1 = DBL_MAX^(1/N)
+    x = 1.0 + sys.float_info.max ** (1.0 / n_steps) * (1.0 + side * 1e-12)
+    chain = DiscretizedChain(n_steps, n_steps * x, 1.0, SliceScheme.FIRST_ORDER)
+    routes = (lambda bc: close_boundary(contract_chain(chain), bc),
+              lambda bc: partition_via_determinant(chain, bc))
+    for route, bc in itertools.product(routes, (AP, P)):
+        if side < 0:
+            assert math.isfinite(route(bc))
+        else:
+            with pytest.raises(ArithmeticError):
+                route(bc)
 
 
 @pytest.mark.parametrize("beta_omega", [1e-12, 1e-6])
