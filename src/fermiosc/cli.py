@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .oscillator import BoundaryCondition, closed_form_partition
 from .path_integral import (
@@ -190,13 +190,36 @@ _RUNNERS = {
 # built by the first main() call, not at import, and reused by every later call;
 # parse_args leaves a parser unchanged, so one parser serves any number of calls
 _parser: Optional[argparse.ArgumentParser] = None
+# the subcommand parsers of _parser by name, built with it
+_commands: Optional[Dict[str, argparse.ArgumentParser]] = None
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse argv in one argparse pass.
+
+    A request that names a subcommand goes to that subcommand's parser
+    alone; the top-level parser would only hand it the same strings after
+    scanning them once more.  Any other argv (help, a missing or unknown
+    command, a leading option or `--`) goes through the top-level parser,
+    which also reports unrecognized arguments, so every message reads as
+    before.
+    """
+    global _parser, _commands
+    if _parser is None:
+        _parser = build_parser()
+        # argparse's action list is private; the subparsers action in it holds the map
+        _commands = next(a.choices for a in _parser._actions if a.dest == "command")
+    if argv and argv[0] in _commands:
+        args, extras = _commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            _parser.error("unrecognized arguments: %s" % " ".join(extras))
+        return args
+    return _parser.parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     if args.command == "selftest":
         return run_selftest_command(args)
     try:

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import math
@@ -371,6 +372,73 @@ def test_main_builds_the_parser_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    "exact --beta 1 --omega 1", "chain --beta 1 --omega 1 --steps 8",
+    "determinant --beta 1 --omega 1 --steps 4", "sweep --beta 1 --omega 1 --steps 2 4", "selftest",
+])
+def test_one_argparse_pass_per_request(capsys, monkeypatch, argv):
+    parse = argparse.ArgumentParser.parse_known_args
+    progs = []
+
+    def counting_parse(self, *args, **kwargs):
+        progs.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+    monkeypatch.setattr(cli, "run_selftest", tuple)  # the catalogue itself is not under test
+    assert run_cli(capsys, *argv.split())[0] == 0
+    assert progs == ["fermiosc " + argv.split()[0]]
+
+
+# argv that help, usage and error messages answer, or that argparse reads in a
+# way of its own: abbreviations, `=`, `--`, repeats, negative values, extras
+EDGE_ARGV = [
+    "", "-h", "--help", "-h chain", "chain -h", "sweep --help", "selftest -h", "--version",
+    "-x chain", "cha --beta 1 --omega 1", "Chain --beta 1 --omega 1",
+    "chain --beta 1 --omega 1 extra", "chain --beta 1 --omega 1 --steps 4 5",
+    "selftest extra", "selftest --x", "exact --beta 1 --omega 1 --steps 4",
+    "exact --beta 1 --omega 1 -x", "chain --bet 1 --omeg 1", "chain --beta 1 --omega 1 --he",
+    "chain --beta=1 --omega=1", "-- chain --beta 1 --omega 1", "chain -- --beta 1 --omega 1",
+    "chain --beta 1 --omega 1 --", "chain --beta 1 --omega 1 --scheme bogus",
+    "chain --format xml --beta 1 --omega 1", "chain --beta x --omega 1",
+    "chain --beta nan --omega 1", "exact --beta 1 --omega nan", "chain --omega 1",
+    "chain --beta 1 --beta 2 --omega 1", "determinant --beta -1 --omega 1",
+    "chain --beta -1e-3 --omega 1", "chain --beta 1 --omega 1 --steps 0",
+    "sweep --beta 1 --omega 1 --steps", "sweep --beta 1 2 --omega 1 --steps 2 4 --format csv",
+    "chain --beta 1 --omega 1 --steps 3 --bc periodic --format csv", "selftest",
+]
+
+
+class _Parsed(Exception):
+    """Carries the namespace main() parsed out of main() before any route runs."""
+
+
+@pytest.mark.parametrize("columns", ["80", "43"])
+def test_main_parses_as_the_full_parser(capsys, monkeypatch, columns):
+    def stop(args):
+        raise _Parsed(args)
+
+    def through_main(argv):
+        try:
+            main(argv)
+        except _Parsed as parsed:
+            return parsed.args[0]
+        raise AssertionError("main ran past the parse")
+
+    def outcome(parse, argv):
+        try:  # repr, since a NaN value is not equal to itself
+            return {name: repr(value) for name, value in vars(parse(argv)).items()}
+        except SystemExit as exc:  # help, usage and error text wrap at COLUMNS
+            return (exc.code, *capsys.readouterr())
+
+    monkeypatch.setenv("COLUMNS", columns)
+    monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(cli._RUNNERS, stop))
+    monkeypatch.setattr(cli, "run_selftest_command", stop)
+    for argv in (*EDGE_ARGV, *GOLDEN, *FAULTS):
+        direct = outcome(through_main, argv.split())
+        assert direct == outcome(cli._parser.parse_args, argv.split()), argv
+
+
 @pytest.mark.parametrize("beta_omega", [1e-12, 1e-6, 1.0, 30.0])
 @pytest.mark.parametrize("bc", [bc.value for bc in BoundaryCondition])
 @pytest.mark.parametrize(
@@ -397,6 +465,7 @@ assert "numpy" not in sys.modules, "import fermiosc.cli loaded numpy"
 assert "decimal" not in sys.modules, "import fermiosc.cli loaded decimal"
 assert "logging" not in sys.modules, "import fermiosc.cli loaded logging"
 assert cli._parser is None, "import fermiosc.cli built the parser"
+assert cli._commands is None, "import fermiosc.cli built the command map"
 # the records are named tuples; dataclasses would bring inspect, ast, dis and tokenize
 for name in ("dataclasses", "inspect"):
     assert name not in sys.modules, "import fermiosc.cli loaded " + name
