@@ -313,8 +313,8 @@ def partition_via_determinant(chain: DiscretizedChain, bc: BoundaryCondition) ->
 
     Overflow raises ArithmeticError, and so does, for N <= GAUSSIAN_CAP, a
     Gaussian-integral expansion of the action's nonzero column entries that
-    differs from the closed form by more than 1e-10 relative (absolute below
-    magnitude 1).  No dense matrix is built.
+    differs from the closed form by more than its own rounding,
+    4 (N + 1) ulp * (1 + |lambda^N|).  No dense matrix is built.
     """
     try:
         det = _one_plus(chain, 1.0 if bc is BoundaryCondition.ANTIPERIODIC else -1.0)
@@ -324,7 +324,8 @@ def partition_via_determinant(chain: DiscretizedChain, bc: BoundaryCondition) ->
         raise ArithmeticError(f"determinant of the N={chain.n_steps} action matrix is not finite")
     if chain.n_steps <= GAUSSIAN_CAP:
         symbolic = _gaussian_columns(_action_columns(chain.n_steps, chain.step_coefficient, bc))
-        if abs(symbolic - det) > 1e-10 * max(1.0, abs(det)):
+        # 1 + |det - 1| is 1 + |lambda^N|, the expansion's scale, and never overflows
+        if abs(symbolic - det) > 4 * (chain.n_steps + 1) * 2.0**-52 * (1.0 + abs(det - 1.0)):
             raise ArithmeticError(
                 "cross-check failure: "
                 f"Gaussian expansion {symbolic!r} disagrees with determinant {det!r}"

@@ -18,8 +18,7 @@ from fermiosc.oscillator import (
     supertrace,
     validate_point,
 )
-
-GRID = [(b, w) for b in (0.1, 0.5, 1.0, 2.0, 5.0) for w in (0.5, 1.0, 2.0)]
+from fermiosc.selftest import _GRID as GRID
 
 betas = st.floats(min_value=1e-3, max_value=20.0, allow_nan=False)
 omegas = st.floats(min_value=0.1, max_value=5.0, allow_nan=False)

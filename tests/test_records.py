@@ -10,13 +10,14 @@ import pickle
 
 import pytest
 
-from fermiosc.grassmann import GeneratorRegistry, monomial, one
+from fermiosc.grassmann import GeneratorRegistry, add, monomial, one
 from fermiosc.path_integral import DiscretizedChain, contract_chain
 from fermiosc.selftest import INVARIANTS, CheckResult
 
 _LABELS = GeneratorRegistry(["c", "c*"])
 _CHAIN = DiscretizedChain(4, 1.0, 1.0)
 _KERNEL = contract_chain(_CHAIN)
+_FIVE = _KERNEL.element.registry  # c(0), c(b), c*(b), c(t), c*(t)
 _RECORDS = [_LABELS, one(_LABELS), _CHAIN, _KERNEL, CheckResult("x", True, "", 0.0),
             INVARIANTS[0]]
 
@@ -27,9 +28,13 @@ _REFUSALS = [
     (_CHAIN, "n_steps", 0, "n_steps must be at least 1"),
     (_CHAIN, "n_steps", 4.0, "n_steps must be an integer"),
     (_CHAIN, "beta", float("nan"), "beta must be finite"),
+    (_CHAIN, "beta", -1.0, "beta must be finite and nonnegative"),
     (_CHAIN, "omega", 0.0, "omega must be finite and positive"),
     (_KERNEL, "element", one(_LABELS), "another generator registry"),
-    (_KERNEL, "element", monomial(_KERNEL.element.registry, [0]), "unexpected monomials"),
+    (_KERNEL, "element", monomial(_FIVE, [0]), "unexpected monomials"),
+    # 1 + c*(beta) c(t): the propagating term on the spare time point, not on c(0)
+    (_KERNEL, "element", add(one(_FIVE), monomial(_FIVE, [2, 3])),
+     "unexpected monomials in boundary kernel"),
 ]
 
 
