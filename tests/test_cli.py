@@ -26,6 +26,17 @@ def json_rows(text):
     return [json.loads(line) for line in text.splitlines()]
 
 
+def test_exact_emits_both_boundary_rows(capsys):
+    code, out = run_cli(capsys, "exact", "--beta", "1", "--omega", "1")
+    rows = json_rows(out)
+    assert code == 0
+    assert [r["bc"] for r in rows] == ["antiperiodic", "periodic"]
+    assert rows[0]["z_value"] == pytest.approx(1.3678794, abs=5e-8)
+    assert rows[1]["z_value"] == pytest.approx(0.6321206, abs=5e-8)
+    assert all(r["route"] == "exact" for r in rows)
+    assert all("n_steps" not in r for r in rows)
+
+
 def test_json_field_names_and_order(capsys):
     _, out = run_cli(capsys, "chain", "--beta", "1", "--omega", "1", "--bc", "periodic")
     (row,) = json_rows(out)
@@ -41,6 +52,35 @@ def test_json_field_names_and_order(capsys):
     ]
     assert row["n_steps"] == 16
     assert row["abs_error"] == abs(row["z_value"] - row["reference_z"])
+
+
+def test_determinant_first_order_example(capsys):
+    code, out = run_cli(
+        capsys,
+        "determinant",
+        "--beta", "1",
+        "--omega", "1",
+        "--steps", "4",
+        "--scheme", "first-order",
+        "--bc", "antiperiodic",
+    )
+    (row,) = json_rows(out)
+    assert code == 0
+    assert row["z_value"] == 1.31640625
+    assert row["abs_error"] == pytest.approx(
+        1.0 + math.exp(-1.0) - 1.31640625, rel=1e-12
+    )
+
+
+def test_csv_shape(capsys):
+    _, out = run_cli(
+        capsys, "exact", "--beta", "2", "--omega", "0.5", "--format", "csv"
+    )
+    lines = out.splitlines()
+    assert lines[0] == "route,beta,omega,n_steps,bc,z_value,reference_z,abs_error"
+    assert len(lines) == 3
+    # n_steps column stays empty for the exact route
+    assert lines[1].split(",")[3] == ""
 
 
 def test_csv_roundtrips_doubles(capsys):
@@ -90,6 +130,14 @@ def test_exact_scheme_rows_hit_reference(capsys):
             assert all(r["abs_error"] <= 1e-12 for r in rows)
             z_values.append([r["z_value"] for r in rows])
         assert z_values[0] == z_values[1]
+
+
+def test_output_is_deterministic(capsys):
+    args = ("sweep", "--beta", "0.5", "2", "--omega", "1", "--steps", "2", "4")
+    _, first = run_cli(capsys, *args)
+    _, second = run_cli(capsys, *args)
+    assert first == second
+    assert len(json_rows(first)) == 8
 
 
 @pytest.mark.parametrize("beta", ["0", "-0.0"])
@@ -177,6 +225,13 @@ def test_cross_check_failure_names_both_values(capsys, monkeypatch):
     assert (code, out) == (1, "") and err.startswith("cross-check failure: ")
 
 
+def test_determinant_keeps_digits_at_tiny_beta(capsys):
+    code, out = run_cli(capsys, "determinant", "--beta", "1e-12", "--omega", "1", "--steps", "8")
+    want = -math.expm1(-1e-12)
+    assert code == 0
+    assert abs(json_rows(out)[1]["z_value"] - want) <= 1e-15 * want
+
+
 def test_emit_refuses_non_finite_values():
     row = ResultRow("exact", 1.0, 1.0, None, "periodic", math.nan, 1.0, math.nan)
     for fmt in ("json", "csv"):
@@ -191,6 +246,15 @@ def test_overflowing_chain_exits_1_without_rows(capsys):
     assert out == ""
     assert len(err.splitlines()) == 1 and "non-finite" in err
     assert "cross-check" not in err
+
+
+def test_chain_past_64_steps_prints_rows(capsys):
+    code, out = run_cli(capsys, "chain", "--beta", "1", "--omega", "1", "--steps", "65")
+    lam65 = math.exp(-1.0 / 65) ** 65
+    assert code == 0
+    assert [r["z_value"] for r in json_rows(out)] == pytest.approx(
+        [1.0 + lam65, 1.0 - lam65], rel=1e-13
+    )
 
 
 # stdout byte for byte, which test_reused_parser_keeps_golden_stdout checks

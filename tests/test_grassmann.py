@@ -41,6 +41,11 @@ def elements(draw, max_terms=6, coefficients=st.floats(-4.0, 4.0, allow_nan=Fals
 
 
 class TestRegistry:
+    def test_plain_construction(self):
+        reg = GeneratorRegistry(["c0", "c0*", "c1", "c1*"])
+        assert reg.size == 4
+        assert reg.labels == ("c0", "c0*", "c1", "c1*")
+
     def test_built_from_a_list_is_hashable_and_keeps_its_size(self):
         labels = ["a", "b"]
         reg = GeneratorRegistry(labels)

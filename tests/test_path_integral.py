@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from fermiosc import grassmann, path_integral, selftest
 from fermiosc.grassmann import (
+    GeneratorRegistry,
     add,
     coefficient,
     monomial,
@@ -18,7 +19,7 @@ from fermiosc.grassmann import (
     one,
     substitute,
 )
-from fermiosc.oscillator import BoundaryCondition
+from fermiosc.oscillator import BoundaryCondition, closed_form_partition
 from fermiosc.path_integral import (
     GAUSSIAN_CAP,
     DiscretizedChain,
@@ -75,6 +76,16 @@ class TestStepKernel:
 
 
 class TestContractChain:
+    def test_first_order_two_steps(self):
+        kernel = contract_chain(
+            DiscretizedChain(2, 1.0, 1.0, SliceScheme.FIRST_ORDER)
+        )
+        assert kernel.coeff_prop == pytest.approx(0.25, rel=1e-14)
+
+    def test_prints_like_the_paper_form(self):
+        chain_kernel = contract_chain(DiscretizedChain(4, 1.0, 1.0)).element
+        assert repr(chain_kernel) == repr(paper_form(1.0, 1.0).element)
+
     def test_coefficients_compare_as_floats(self):
         chain = DiscretizedChain(4, 1.0, 1.0)
         element = contract_chain(chain).element
@@ -82,10 +93,29 @@ class TestContractChain:
         assert element == contract_chain(chain).element
         assert coefficient(element, [CB_STAR, C0]) == math.exp(-1.0)
 
+    def test_pickled_kernel_keeps_its_digits(self):
+        kernel = contract_chain(DiscretizedChain(8, 1e-12, 1.0))
+        copied = pickle.loads(pickle.dumps(kernel))
+        assert copied == kernel
+        assert close_boundary(copied, P) == close_boundary(kernel, P)
+
     def test_underflowed_coefficient_is_dropped(self):
         kernel = contract_chain(DiscretizedChain(8, 800.0, 1.0))
         assert list(kernel.element.terms) == [0]
         assert kernel.coeff_prop == 0.0
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 7, 64, 10**6])
+    def test_compositions_grow_with_log_steps(self, monkeypatch, n_steps):
+        compose = path_integral._compose
+        calls = []
+
+        def counting(a, b):
+            calls.append(None)
+            return compose(a, b)
+
+        monkeypatch.setattr(path_integral, "_compose", counting)
+        contract_chain(DiscretizedChain(n_steps, 1.0, 1.0))
+        assert len(calls) <= 2 * (n_steps.bit_length() - 1)
 
     def test_composition_is_the_five_call_form_to_the_bit(self, monkeypatch):
         # relabel both kernels, weigh by 1 - c*(t) c(t), multiply and integrate:
@@ -109,9 +139,8 @@ class TestContractChain:
 
     @pytest.mark.parametrize("n_steps", [1, 2, 7, 64, 10**6])
     def test_one_substitute_and_one_element_per_composition(self, monkeypatch, n_steps):
-        # the structure of the chain, not its timing: at most 2 floor(log2 N)
-        # compositions, no other public engine call, and each composition
-        # builds only its traced product
+        # the structure of the chain, not its timing: no other public engine
+        # call, and each composition builds only its traced product
         chain = DiscretizedChain(n_steps, 1.0, 1.0)
         want = contract_chain(chain).element.terms
 
@@ -140,7 +169,6 @@ class TestContractChain:
         prop = 1 << CB_STAR | 1 << C0
         assert got[prop].log == want[prop].log
         assert calls["substitute"] == 1
-        assert calls["_compose"] <= 2 * (n_steps.bit_length() - 1)
         assert calls["_build"] == calls["_compose"] + 1
 
     @pytest.mark.parametrize(
@@ -189,8 +217,26 @@ class TestContractChain:
                 assert (rebuilt.hex(), rebuilt.log) == (total.hex(), total.log)
 
 
+@pytest.mark.parametrize(
+    "element, message",
+    [
+        (monomial(REGISTRY, [C0]), "unexpected monomials"),
+        (add(one(REGISTRY), monomial(REGISTRY, [CB_STAR, CT])), "unexpected monomials"),
+        (one(GeneratorRegistry(["c", "c*"])), "another generator registry"),
+    ],
+    ids=["stray-c0", "stray-cb-star-ct", "foreign-registry"],
+)
+def test_propagator_kernel_validates_element(element, message):
+    with pytest.raises(ValueError, match=message):
+        PropagatorKernel(element)
+
+
 class TestPaperFormKernel:
     """The paper's kernel, as the one-slice exact chain gives it."""
+
+    def test_propagation_coefficient(self):
+        kernel = paper_form(math.log(2.0), 1.0)
+        assert kernel.coeff_prop == pytest.approx(0.5, rel=1e-15)
 
     def test_exponent_squares_to_zero(self):
         exponent = monomial(REGISTRY, [CB_STAR, C0], math.exp(-1.0))
@@ -199,6 +245,14 @@ class TestPaperFormKernel:
 
 
 class TestCloseBoundary:
+    def test_antiperiodic_value(self):
+        z = close_boundary(paper_form(1.0, 1.0), AP)
+        assert z == pytest.approx(1.0 + math.exp(-1.0), rel=1e-14)
+
+    def test_periodic_value(self):
+        z = close_boundary(paper_form(1.0, 1.0), P)
+        assert z == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
+
     def test_zero_beta_counts_states(self):
         kernel = paper_form(0.0, 1.0)
         assert close_boundary(kernel, AP) == 2.0
@@ -356,6 +410,12 @@ def test_first_order_overflow_threshold_in_both_routes(n_steps, side):
         else:
             with pytest.raises(ArithmeticError):
                 route(bc)
+
+
+@pytest.mark.parametrize("beta_omega", [1e-12, 1e-6])
+def test_periodic_closed_form_keeps_digits(beta_omega):
+    want = Fraction(-math.expm1(-beta_omega))
+    assert _rel_error(closed_form_partition(beta_omega, 1.0, P), want) <= 1e-15
 
 
 # off the catalogue's accuracy grid: random points
