@@ -41,6 +41,18 @@ class BoundaryCondition(enum.Enum):
     PERIODIC = "periodic"
 
 
+def _bc_sign(bc: BoundaryCondition) -> float:
+    """+1.0 (antiperiodic) or -1.0 (periodic): the sign of e^{-beta*omega} in Z-+.
+
+    Anything but a member, such as the string "antiperiodic", raises ValueError.
+    """
+    if bc is BoundaryCondition.ANTIPERIODIC:
+        return 1.0
+    if bc is BoundaryCondition.PERIODIC:
+        return -1.0
+    raise ValueError(f"bc must be a BoundaryCondition, got {bc!r}")
+
+
 def validate_point(beta: float, omega: float, n_steps: int | None = None) -> None:
     """Refuse a (beta, omega, N) point outside the physical domain.
 
@@ -115,9 +127,10 @@ def supertrace(rho: np.ndarray) -> float:
 def closed_form_partition(beta: float, omega: float, bc: BoundaryCondition) -> float:
     """1 + e^{-beta*omega} (antiperiodic) or 1 - e^{-beta*omega} (periodic).
 
-    A point that ``validate_point`` refuses raises ValueError.
+    A point that ``validate_point`` refuses, or a bc that is not a
+    member, raises ValueError.
     """
     validate_point(beta, omega)
-    if bc is BoundaryCondition.ANTIPERIODIC:
+    if _bc_sign(bc) > 0.0:
         return 1.0 + math.exp(-beta * omega)
     return -math.expm1(-beta * omega) + 0.0  # + 0.0: never -0.0

@@ -40,7 +40,7 @@ from .grassmann import (
     one,
     substitute,
 )
-from .oscillator import BoundaryCondition, validate_point
+from .oscillator import BoundaryCondition, _bc_sign, validate_point
 
 __all__ = [
     "SliceScheme",
@@ -80,6 +80,9 @@ class DiscretizedChain(namedtuple("DiscretizedChain", "n_steps beta omega scheme
     def __new__(cls, n_steps: int, beta: float, omega: float,
                 scheme: SliceScheme = SliceScheme.EXACT) -> DiscretizedChain:
         validate_point(beta, omega, n_steps)
+        # a string would reach step_coefficient as the exact scheme and _log_step as first order
+        if not isinstance(scheme, SliceScheme):
+            raise ValueError(f"scheme must be a SliceScheme, got {scheme!r}")
         return super().__new__(cls, n_steps, beta, omega, scheme)
 
     @property
@@ -259,10 +262,10 @@ def close_boundary(kernel: PropagatorKernel, bc: BoundaryCondition) -> float:
     substitutes c(0) -> -c(beta) (antiperiodic) or c(0) -> +c(beta)
     (periodic), then traces the boundary pair out of the product with 1
     under its measure, as ``_compose`` traces the spare pair.  On
-    1 + q c*(beta) c(0) this returns 1 + q or 1 - q.
+    1 + q c*(beta) c(0) this returns 1 + q or 1 - q.  A bc that is not a
+    member raises ValueError.
     """
-    factor = -1.0 if bc is BoundaryCondition.ANTIPERIODIC else 1.0
-    closed = substitute(kernel.element, _C0, _CB, factor)
+    closed = substitute(kernel.element, _C0, _CB, -_bc_sign(bc))
     return float(mul(closed, one(_REGISTRY), (_CB_STAR, _CB)).scalar_part())
 
 
@@ -276,7 +279,7 @@ def _action_columns(n: int, lam, bc: BoundaryCondition) -> list[list[tuple[int, 
     caller's type, a float or the chain's signed log.  A zero entry, such as
     -0.0 at lambda = 0, is left out.
     """
-    corner = lam if bc is BoundaryCondition.ANTIPERIODIC else -lam
+    corner = _bc_sign(bc) * lam  # for the signed log, +-1 * lam is +-lam exactly: no log taken
     if n == 1:
         columns = [[(0, 1.0 + corner)]]
     else:
@@ -314,10 +317,11 @@ def partition_via_determinant(chain: DiscretizedChain, bc: BoundaryCondition) ->
     Overflow raises ArithmeticError, and so does, for N <= GAUSSIAN_CAP, a
     Gaussian-integral expansion of the action's nonzero column entries that
     differs from the closed form by more than its own rounding,
-    4 (N + 1) ulp * (1 + |lambda^N|).  No dense matrix is built.
+    4 (N + 1) ulp * (1 + |lambda^N|).  No dense matrix is built.  A bc
+    that is not a member raises ValueError.
     """
     try:
-        det = _one_plus(chain, 1.0 if bc is BoundaryCondition.ANTIPERIODIC else -1.0)
+        det = _one_plus(chain, _bc_sign(bc))
     except OverflowError:  # float ** int and math.exp raise where they would give inf
         det = math.inf
     if not math.isfinite(det):

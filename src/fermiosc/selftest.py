@@ -186,14 +186,18 @@ def _route_accuracy(point) -> float:
     The model is lambda^N, lambda = e^{-x} or 1 - x on the exact double
     x = epsilon*omega, to 50 digits plus one per decade of x below 1 and over
     the widest exponents, so it keeps x and shares no float step log with a
-    route; at N = 1 in the exact scheme x is beta*omega, so 1 +- lambda is
-    also ``closed_form_partition``'s Z-+.  For N <= ``GAUSSIAN_CAP`` the
-    Gaussian expansion of the action's columns, on the chain's signed-log
-    lambda, is a third route.  Bounds: 1e-15 (determinant, closed form,
-    exact-scheme chain), min(1e-14, 16 ulp * L) (first-order chain) and
-    4 ulp * L (``coeff_prop``), L = max(1, |ln lambda^N|); the Gaussian is
-    held to the chain's bound.  Errors are relative to at least 2^-1022, for
-    an underflowed lambda^N.  ``coeff_id`` must be 1.0 exactly.
+    route.  In the exact scheme lambda^N is e^{-N x}, and N x is beta*omega
+    to three roundings, which move 1 +- e^{-N x} by at most as much,
+    relatively, as they move N x; so 1 +- lambda^N is also
+    ``closed_form_partition``'s Z-+ wherever x is a normal double
+    (x >= 2^-1022), and at N = 1, where x is beta*omega itself.  For
+    N <= ``GAUSSIAN_CAP`` the Gaussian expansion of the action's columns, on
+    the chain's signed-log lambda, is a third route.  Bounds: 1e-15
+    (determinant, closed form, exact-scheme chain), min(1e-14, 16 ulp * L)
+    (first-order chain) and 4 ulp * L (``coeff_prop``), L = max(1,
+    |ln lambda^N|); the Gaussian is held to the chain's bound.  Errors are
+    relative to at least 2^-1022, for an underflowed lambda^N.  ``coeff_id``
+    must be 1.0 exactly.
     """
     import decimal
 
@@ -217,7 +221,7 @@ def _route_accuracy(point) -> float:
             if chain.n_steps <= GAUSSIAN_CAP:
                 columns = _action_columns(chain.n_steps, _SignedLog(*_log_step(chain)), bc)
                 checks.append((_gaussian_columns(columns), z, chain_bound))
-            if exact and chain.n_steps == 1:
+            if exact and (chain.n_steps == 1 or x >= floor):
                 checks.append((closed_form_partition(chain.beta, chain.omega, bc), z, 1e-15))
         return max(float(abs(decimal.Decimal(got) - want) / max(abs(want), floor)) / bound
                    for got, want, bound in checks)

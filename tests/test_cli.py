@@ -14,7 +14,11 @@ import fermiosc
 import fermiosc.cli as cli
 from fermiosc.cli import ResultRow, emit, main
 from fermiosc.oscillator import BoundaryCondition, closed_form_partition
+from fermiosc.path_integral import (DiscretizedChain, SliceScheme, close_boundary,
+                                    contract_chain, partition_via_determinant)
 from fermiosc.selftest import Invariant
+
+AP, P = BoundaryCondition.ANTIPERIODIC, BoundaryCondition.PERIODIC
 
 
 def run_cli(capsys, *argv):
@@ -31,8 +35,7 @@ def test_exact_emits_both_boundary_rows(capsys):
     rows = json_rows(out)
     assert code == 0
     assert [r["bc"] for r in rows] == ["antiperiodic", "periodic"]
-    assert rows[0]["z_value"] == pytest.approx(1.3678794, abs=5e-8)
-    assert rows[1]["z_value"] == pytest.approx(0.6321206, abs=5e-8)
+    assert [r["z_value"] for r in rows] == [closed_form_partition(1.0, 1.0, bc) for bc in (AP, P)]
     assert all(r["route"] == "exact" for r in rows)
     assert all("n_steps" not in r for r in rows)
 
@@ -66,10 +69,9 @@ def test_determinant_first_order_example(capsys):
     )
     (row,) = json_rows(out)
     assert code == 0
-    assert row["z_value"] == 1.31640625
-    assert row["abs_error"] == pytest.approx(
-        1.0 + math.exp(-1.0) - 1.31640625, rel=1e-12
-    )
+    chain = DiscretizedChain(4, 1.0, 1.0, SliceScheme.FIRST_ORDER)
+    assert row["z_value"] == partition_via_determinant(chain, AP) == 1.31640625
+    assert row["abs_error"] == abs(1.31640625 - closed_form_partition(1.0, 1.0, AP))
 
 
 def test_csv_shape(capsys):
@@ -123,12 +125,14 @@ def test_sweep_errors_shrink_monotonically(capsys):
 
 def test_exact_scheme_rows_hit_reference(capsys):
     # at beta*omega = 35.5 the chain's coefficient e^-35.5 must not be dropped
-    for point in ("--beta 0.7 --omega 1.3 --steps 9", "--beta 35.5 --omega 1 --steps 8"):
-        z_values = []
-        for command in ("chain", "determinant"):
-            rows = json_rows(run_cli(capsys, command, *point.split())[1])
-            assert all(r["abs_error"] <= 1e-12 for r in rows)
-            z_values.append([r["z_value"] for r in rows])
+    for n_steps, beta, omega in ((9, 0.7, 1.3), (8, 35.5, 1.0)):
+        argv = ["--beta", repr(beta), "--omega", repr(omega), "--steps", str(n_steps)]
+        z_values = [[r["z_value"] for r in json_rows(run_cli(capsys, command, *argv)[1])]
+                    for command in ("chain", "determinant")]
+        chain = DiscretizedChain(n_steps, beta, omega)
+        kernel = contract_chain(chain)
+        assert z_values == [[close_boundary(kernel, bc) for bc in (AP, P)],
+                            [partition_via_determinant(chain, bc) for bc in (AP, P)]]
         assert z_values[0] == z_values[1]
 
 
@@ -191,9 +195,9 @@ def test_cross_check_is_relative_at_large_magnitude(capsys):
         "--scheme", "first-order",
     )
     assert code == 0
-    lam8 = (1.0 - 700.0 / 8) ** 8
-    for row, want in zip(json_rows(out), (1.0 + lam8, 1.0 - lam8)):
-        assert abs(row["z_value"] - want) <= 1e-12 * abs(want)
+    chain = DiscretizedChain(8, 700.0, 1.0, SliceScheme.FIRST_ORDER)
+    assert [r["z_value"] for r in json_rows(out)] == [
+        partition_via_determinant(chain, bc) for bc in (AP, P)]
 
 
 def test_overflowing_determinant_exits_1_without_rows(capsys):
@@ -227,9 +231,9 @@ def test_cross_check_failure_names_both_values(capsys, monkeypatch):
 
 def test_determinant_keeps_digits_at_tiny_beta(capsys):
     code, out = run_cli(capsys, "determinant", "--beta", "1e-12", "--omega", "1", "--steps", "8")
-    want = -math.expm1(-1e-12)
     assert code == 0
-    assert abs(json_rows(out)[1]["z_value"] - want) <= 1e-15 * want
+    chain = DiscretizedChain(8, 1e-12, 1.0)
+    assert json_rows(out)[1]["z_value"] == partition_via_determinant(chain, P)
 
 
 def test_emit_refuses_non_finite_values():
@@ -250,11 +254,9 @@ def test_overflowing_chain_exits_1_without_rows(capsys):
 
 def test_chain_past_64_steps_prints_rows(capsys):
     code, out = run_cli(capsys, "chain", "--beta", "1", "--omega", "1", "--steps", "65")
-    lam65 = math.exp(-1.0 / 65) ** 65
     assert code == 0
-    assert [r["z_value"] for r in json_rows(out)] == pytest.approx(
-        [1.0 + lam65, 1.0 - lam65], rel=1e-13
-    )
+    kernel = contract_chain(DiscretizedChain(65, 1.0, 1.0))
+    assert [r["z_value"] for r in json_rows(out)] == [close_boundary(kernel, bc) for bc in (AP, P)]
 
 
 # stdout byte for byte, which test_reused_parser_keeps_golden_stdout checks

@@ -139,7 +139,7 @@ class TestPairedProduct:
         assert mul(weight, one(self.REG), (1, 0)) == monomial(self.REG, [], 2.0)
 
     @given(elements(), elements())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_is_the_weighed_product_integrated(self, a, b):
         # every ordered pair: adjacent or not, either orientation, generators between
         for g_star, g in itertools.permutations(range(REG6.size), 2):
@@ -148,7 +148,7 @@ class TestPairedProduct:
             assert _max_coefficient_difference(mul(a, b, (g_star, g)), want) <= 1e-12
 
     @given(elements())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_is_the_bare_integral_plus_the_terms_holding_neither(self, a):
         # exact: each term of the result sums at most two terms of a, unscaled
         for g_star, g in itertools.permutations(range(REG6.size), 2):
@@ -171,20 +171,20 @@ class TestPairedProduct:
         assert mul(monomial(REG6, [2, 3]), one(REG6), (1, 0)) == monomial(REG6, [2, 3])
 
     @given(elements(), elements(), st.integers(0, 5))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_same_generator_twice_gives_zero(self, a, b, g):
         # the left derivative squares to zero
         assert mul(a, b, (g, g)).is_zero
 
     @given(*[elements(coefficients=DYADIC)] * 3, st.integers(0, 5), st.integers(0, 5))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_additive(self, a, b, c, g_star, g):
         combined = mul(add(a, b), c, (g_star, g))
         assert combined == add(mul(a, c, (g_star, g)), mul(b, c, (g_star, g)))
 
     @given(elements(coefficients=DYADIC), elements(coefficients=DYADIC),
            st.integers(0, 5), st.integers(0, 5))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_swapping_the_pair_flips_the_sign_of_the_integral(self, a, b, g_star, g):
         # left derivatives anticommute, and e^{-g g_star} = 1 + g_star g, so the
         # two orientations sum to twice the terms of ab that hold neither generator
@@ -279,7 +279,7 @@ class TestGaussianIntegral:
 
     @given(st.integers(1, GAUSSIAN_CAP).flatmap(lambda n: st.lists(
         st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_upper_triangular_is_the_diagonal_product(self, m):
         # at most one monomial survives each column, so the result is the product's own bits
         n = len(m)
@@ -287,7 +287,7 @@ class TestGaussianIntegral:
         assert _gaussian_columns(columns) == math.prod(m[j][j] for j in range(n))
 
     @given(_MATRICES, st.data())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_doubling_a_column_doubles_the_integral(self, m, data):
         columns = _columns(m)
         j = data.draw(st.integers(0, len(m) - 1))
@@ -296,7 +296,7 @@ class TestGaussianIntegral:
         assert _gaussian_columns(doubled) == 2.0 * _gaussian_columns(columns)
 
     @given(_MATRICES)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_is_the_exact_determinant_to_rounding(self, m):
         # every product and sum rounds once, so the error is a few ulp of the permanent's bound
         n = len(m)
@@ -307,7 +307,7 @@ class TestGaussianIntegral:
     @given(st.integers(1, GAUSSIAN_CAP).flatmap(lambda n: st.lists(
         st.lists(st.one_of(st.just(0.0), st.floats(-1e150, 1e150)), min_size=n, max_size=n),
         min_size=n, max_size=n)))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_same_bits_as_the_product_of_column_elements(self, m):
         # the product psi_1 ... psi_n by mul, on one element per column
         n = len(m)
@@ -341,7 +341,7 @@ class TestSubstitute:
 
 
 @given(st.permutations(range(40)), st.integers(0, 40), st.integers(0, 40))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_product_sign_matches_written_order(order, split, end):
     # monomial() sorts the written order by its own transposition count
     reg = GeneratorRegistry(["h%d" % i for i in range(40)])
@@ -350,13 +350,13 @@ def test_product_sign_matches_written_order(order, split, end):
 
 
 @given(elements(), elements(), elements())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_product_associative(a, b, c):
     assert _max_coefficient_difference(mul(mul(a, b), c), mul(a, mul(b, c))) <= 1e-12
 
 
 @given(elements(), elements(), elements())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_product_distributes(a, b, c):
     left = mul(a, add(b, c))
     right = add(mul(a, b), mul(a, c))

@@ -153,7 +153,7 @@ def test_route_accuracy_where_x_is_below_the_model_digits():
 # beta = 0 (None), omega in [1/4, 4]
 @given(st.floats(0.0, 18.0), st.none() | st.floats(math.log10(5e-324), 300.0),
        st.floats(-2.0, 2.0))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_exact_scheme_route_accuracy_between_grid_points(log_n, log_bw, log_omega):
     omega = 2.0**log_omega
     beta = 0.0 if log_bw is None else 10.0**log_bw / omega

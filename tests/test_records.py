@@ -30,6 +30,8 @@ _REFUSALS = [
     (_CHAIN, "beta", float("nan"), "beta must be finite"),
     (_CHAIN, "beta", -1.0, "beta must be finite and nonnegative"),
     (_CHAIN, "omega", 0.0, "omega must be finite and positive"),
+    # a string, not a member: the chain would read it as two different schemes
+    (_CHAIN, "scheme", "exact", "scheme must be a SliceScheme"),
     (_KERNEL, "element", one(_LABELS), "another generator registry"),
     (_KERNEL, "element", monomial(_FIVE, [0]), "unexpected monomials"),
     # 1 + c*(beta) c(t): the propagating term on the spare time point, not on c(0)
