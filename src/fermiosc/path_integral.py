@@ -2,9 +2,10 @@
 
 The imaginary-time propagator is the N-th power of the one-slice
 coherent-state kernel 1 + lambda c*(beta) c(0) under one composition, which
-relabels the shared time point and traces it out under its measure, in one
-pass of the Grassmann product loop that builds one element.  Repeated
-squaring gives the kernel
+traces the shared time point out under its measure and builds one element.
+A composition reads each product term's mask and sign from ``_COMPOSE``,
+which the Grassmann product loop builds at import, so the measure is still
+stated once, in the engine.  Repeated squaring gives the kernel
 <c(beta)|e^{-beta H}|c(0)> = 1 + lambda^N c*(beta) c(0) in about 2 log2 N
 compositions, with lambda^N held in signed-log form so that it neither
 rounds per step nor cancels when the trace is closed.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from collections import namedtuple
 
 from .grassmann import (
@@ -83,7 +85,8 @@ class DiscretizedChain(namedtuple("DiscretizedChain", "n_steps beta omega scheme
         # a string would reach step_coefficient as the exact scheme and _log_step as first order
         if not isinstance(scheme, SliceScheme):
             raise ValueError(f"scheme must be a SliceScheme, got {scheme!r}")
-        return super().__new__(cls, n_steps, beta, omega, scheme)
+        # a numpy N would carry numpy arithmetic, and its overflow warnings, into the routes
+        return super().__new__(cls, operator.index(n_steps), beta, omega, scheme)
 
     @property
     def epsilon(self) -> float:
@@ -220,20 +223,48 @@ def _kernel(q) -> GrassmannElement:
     return substitute(_UNIT_KERNEL, _C0, _C0, q)
 
 
+def _composed(ma: int, mb: int) -> tuple[int, int] | None:
+    """(mask, sign) of unit monomial ma, then unit monomial mb, under the composition.
+
+    The shared time point is relabelled onto the spare pair and traced out
+    there by the product loop, under its coherent-state measure; None where
+    the traced product is zero.
+    """
+    first = _relabelled({ma: 1.0}, _CB_STAR, _CT_STAR)
+    second = _relabelled({mb: 1.0}, _C0, _CT)
+    traced = _wedge(first, _right(second), (_CT_STAR, _CT))
+    if not traced:
+        return None
+    ((mask, sign),) = traced.items()
+    return mask, int(sign)
+
+
+# _COMPOSE[ma][mb] for every pair of monomials on c(0), c(beta) and c*(beta)
+_COMPOSE = [[_composed(ma, mb) for mb in range(8)] for ma in range(8)]
+
+
 def _compose(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     """The kernel of a, then b: int dc_t* dc_t e^{-c_t* c_t} b(c*(beta), c_t) a(c_t*, c(0)).
 
-    The shared time point c_t is relabelled onto the spare pair and traced
-    out there in one pass of the product loop, under its coherent-state
+    The shared time point c_t is traced out under its coherent-state
     measure (Negele & Orland, ch. 1, the resolution of the identity), so
     1 + p c*(beta) c(0) and 1 + q c*(beta) c(0) compose to
-    1 + pq c*(beta) c(0).  A kernel never holds the spare pair, so the
-    relabelling maps its terms one to one and unscaled, and only the traced
-    product is built (and checked for a non-finite coefficient).
+    1 + pq c*(beta) c(0).  Each pair of terms reads its product's mask and
+    sign from ``_COMPOSE``, which the product loop built at import on unit
+    monomials, so the measure and every sign are still stated once, in the
+    engine.  a and b hold no generator but c(0), c(beta) and c*(beta); only
+    the product is built (and checked for a non-finite coefficient).
     """
-    first = _relabelled(a.terms, _CB_STAR, _CT_STAR)
-    second = _relabelled(b.terms, _C0, _CT)
-    return _build(_REGISTRY, _wedge(first, _right(second), (_CT_STAR, _CT)))
+    out: dict[int, float] = {}
+    right = b.terms.items()
+    for ma, ca in a.terms.items():
+        row = _COMPOSE[ma]
+        for mb, cb in right:
+            entry = row[mb]
+            if entry is not None:
+                mask, sign = entry
+                out[mask] = out.get(mask, 0.0) + ca * cb * sign
+    return _build(_REGISTRY, out)
 
 
 def contract_chain(chain: DiscretizedChain) -> PropagatorKernel:

@@ -189,6 +189,15 @@ def test_sweep_refuses_unordered_steps_by_the_flag_name(capsys, steps):
     assert stderr.splitlines()[-1] == "fermiosc: error: --steps must be strictly ascending"
 
 
+def test_an_unknown_scheme_is_refused_by_its_choices(capsys):
+    with pytest.raises(SystemExit) as err:
+        main("chain --beta 1 --omega 1 --scheme cubic".split())
+    out, stderr = capsys.readouterr()
+    assert (err.value.code, out) == (2, "")
+    assert stderr.splitlines()[-1].startswith(
+        "fermiosc chain: error: argument --scheme: invalid choice: 'cubic'")
+
+
 def test_cross_check_is_relative_at_large_magnitude(capsys):
     code, out = run_cli(
         capsys, "determinant", "--beta", "700", "--omega", "1", "--steps", "8",

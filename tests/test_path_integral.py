@@ -37,10 +37,20 @@ REGISTRY = contract_chain(DiscretizedChain(1, 1.0, 1.0)).element.registry
 C0, CB, CB_STAR, CT, CT_STAR = (
     REGISTRY.labels.index(label) for label in ("c(0)", "c(b)", "c*(b)", "c(t)", "c*(t)"))
 
+# every monomial on c(0), c(beta) and c*(beta), the generators a kernel holds
+KERNEL_MASKS = [m for m in range(1 << REGISTRY.size) if not m & (1 << CT | 1 << CT_STAR)]
+
 
 def boundary_kernel(q):
     """1 + q c*(beta) c(0) on the chain registry."""
     return PropagatorKernel(add(one(REGISTRY), monomial(REGISTRY, [CB_STAR, C0], q)))
+
+
+def five_calls(a, b):
+    """a, then b: relabel both kernels, weigh by 1 - c*(t) c(t), multiply and integrate."""
+    weight = add(one(REGISTRY), monomial(REGISTRY, [CT_STAR, CT], -1.0))
+    first, second = substitute(a, CB_STAR, CT_STAR), substitute(b, C0, CT)
+    return integrated(mul(mul(first, weight), second), CT_STAR, CT)
 
 
 def paper_form(beta, omega):
@@ -52,6 +62,15 @@ class TestDiscretizedChain:
     def test_epsilon_times_steps_recovers_beta(self):
         chain = DiscretizedChain(7, 2.3, 1.0)
         assert abs(chain.epsilon * chain.n_steps - chain.beta) <= 1e-12
+
+    @pytest.mark.parametrize("bc", [AP, P])
+    def test_numpy_integer_steps_are_held_as_int(self, bc):
+        # a numpy N would make first order's lambda**N overflow through numpy, with a warning
+        chain = DiscretizedChain(np.int64(200), 1e6, 1.0, SliceScheme.FIRST_ORDER)
+        assert type(chain.n_steps) is int
+        assert type(chain._replace(n_steps=np.int32(3)).n_steps) is int
+        with pytest.raises(ArithmeticError):
+            partition_via_determinant(chain, bc)
 
 
 class TestStepKernel:
@@ -111,14 +130,7 @@ class TestContractChain:
         assert len(calls) <= 2 * (n_steps.bit_length() - 1)
 
     def test_composition_is_the_five_call_form_to_the_bit(self, monkeypatch):
-        # relabel both kernels, weigh by 1 - c*(t) c(t), multiply and integrate:
-        # the traced product must give the same terms, hex and log
-        weight = add(one(REGISTRY), monomial(REGISTRY, [CT_STAR, CT], -1.0))
-
-        def five_calls(a, b):
-            first, second = substitute(a, CB_STAR, CT_STAR), substitute(b, C0, CT)
-            return integrated(mul(mul(first, weight), second), CT_STAR, CT)
-
+        # the tabulated product must give the five-call form's terms, hex and log
         chains = [DiscretizedChain(*point) for point in selftest._ACCURACY_GRID]
         traced = [contract_chain(chain).element.terms for chain in chains]
         monkeypatch.setattr(path_integral, "_compose", five_calls)
@@ -129,6 +141,17 @@ class TestContractChain:
             prop = 1 << CB_STAR | 1 << C0
             if prop in want:
                 assert got[prop].log == want[prop].log, chain
+
+    @pytest.mark.parametrize("mb", KERNEL_MASKS)
+    @pytest.mark.parametrize("ma", KERNEL_MASKS)
+    def test_every_table_entry_is_the_five_call_form(self, ma, mb):
+        # unit monomials on c(0), c(beta), c*(beta): each reads one entry of the table
+        a = grassmann.GrassmannElement(REGISTRY, {ma: 0.75})
+        b = grassmann.GrassmannElement(REGISTRY, {mb: -1.25})
+        got, want = path_integral._compose(a, b).terms, five_calls(a, b).terms
+        assert list(got) == list(want)
+        assert [c.hex() for c in got.values()] == [c.hex() for c in want.values()]
+        assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
 
     @pytest.mark.parametrize("n_steps", [1, 2, 7, 64, 10**6])
     def test_one_substitute_and_one_element_per_composition(self, monkeypatch, n_steps):
