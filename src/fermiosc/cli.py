@@ -24,9 +24,10 @@ from .oscillator import BoundaryCondition, closed_form_partition
 from .path_integral import (
     DiscretizedChain,
     SliceScheme,
+    _ActionGaussian,
+    _determinant,
     close_boundary,
     contract_chain,
-    partition_via_determinant,
 )
 from .selftest import run_selftest
 
@@ -88,9 +89,12 @@ def _boundary_conditions(choice: str) -> Tuple[BoundaryCondition, ...]:
 
 
 def _row(route: str, beta: float, omega: float, n_steps: Optional[int],
-         bc: BoundaryCondition, z_value: float) -> ResultRow:
-    # the continuum closed form, which route-relative-accuracy holds to a 50-digit model
-    reference = closed_form_partition(beta, omega, bc)
+         bc: BoundaryCondition, z_value: float, reference: float) -> ResultRow:
+    """One row; each route takes ``reference`` once per (beta, bc).
+
+    It is the continuum closed form, which route-relative-accuracy holds to
+    a 50-digit model.
+    """
     return ResultRow(
         route, beta, omega, n_steps, bc.value, z_value, reference, abs(z_value - reference)
     )
@@ -101,7 +105,7 @@ def run_exact(args: argparse.Namespace) -> List[ResultRow]:
     for beta in args.beta:
         for bc in _boundary_conditions(args.bc):
             z = closed_form_partition(beta, args.omega, bc)
-            rows.append(_row("exact", beta, args.omega, None, bc, z))
+            rows.append(_row("exact", beta, args.omega, None, bc, z, z))
     return rows
 
 
@@ -112,20 +116,28 @@ def run_chain(args: argparse.Namespace) -> List[ResultRow]:
         kernel = contract_chain(chain)
         for bc in _boundary_conditions(args.bc):
             z = close_boundary(kernel, bc)
-            rows.append(_row("chain", beta, args.omega, chain.n_steps, bc, z))
+            reference = closed_form_partition(beta, args.omega, bc)
+            rows.append(_row("chain", beta, args.omega, chain.n_steps, bc, z, reference))
     return rows
 
 
 def _determinant_rows(route: str, args: argparse.Namespace) -> List[ResultRow]:
-    """Determinant-route rows in the order beta, then boundary condition, then N."""
+    """Determinant-route rows in the order beta, then boundary condition, then N.
+
+    Each chain's cross-check expands its bc-free columns at the chain's first
+    row and closes them per bc, so rows are still evaluated, and a failing
+    row still raises, in output order.
+    """
+    scheme = SliceScheme(args.scheme)
     rows = []
     for beta in args.beta:
-        chains = [DiscretizedChain(n, beta, args.omega, SliceScheme(args.scheme))
-                  for n in args.steps]
+        chains = [DiscretizedChain(n, beta, args.omega, scheme) for n in args.steps]
+        gaussians = [_ActionGaussian(chain.n_steps, chain.step_coefficient) for chain in chains]
         for bc in _boundary_conditions(args.bc):
-            for chain in chains:
-                z = partition_via_determinant(chain, bc)
-                rows.append(_row(route, beta, args.omega, chain.n_steps, bc, z))
+            reference = closed_form_partition(beta, args.omega, bc)
+            for chain, gaussian in zip(chains, gaussians):
+                z = _determinant(chain, bc, gaussian)
+                rows.append(_row(route, beta, args.omega, chain.n_steps, bc, z, reference))
     return rows
 
 

@@ -16,7 +16,8 @@ it, so no term whose integral is zero is formed; the chain's compositions
 and the closure of its time circle both run it.  The Gaussian integral of a
 quadratic form is the top coefficient of an exterior product of its
 columns, taken on the columns' nonzero entries; the determinant route's
-cross-check runs it on the discrete action's sparse columns.
+cross-check runs it on the discrete action's sparse columns, and keeps the
+running product of the columns that both boundary conditions share.
 
 All values are immutable after construction and every operation is a pure
 function; elements may be shared freely across threads.
@@ -283,6 +284,23 @@ def substitute(
     return _build(a.registry, _relabelled(a.terms, old, new, factor))
 
 
+def _exterior(columns, form: Mapping[int, float] | None = None) -> dict[int, float]:
+    """The running exterior product: ``form`` (default 1) times psi_j of each column in turn.
+
+    Column j is given as its nonzero (i, M_ij) in row order, and psi_j is
+    sum_i M_ij ci*, so ci* is generator i.  ``_wedge`` forms each product,
+    and ``_kept`` drops its exact zeros; ``form`` is not changed, so a caller
+    may keep the product of some columns and wedge different last columns
+    onto it.  The columns are not checked: callers build them from validated
+    input.
+    """
+    if form is None:
+        form = {0: 1.0}
+    for column in columns:
+        form = _kept(_wedge(form, [(1 << i, value, _crossings(1 << i)) for i, value in column]))
+    return form
+
+
 def _gaussian_columns(columns) -> float:
     """Grassmann Gaussian integral of exp(-sum_ij ci* M_ij cj), as det M.
 
@@ -291,11 +309,8 @@ def _gaussian_columns(columns) -> float:
     prod_j (1 - psi_j cj) with psi_j = sum_i M_ij ci*.  Integrating each cj
     leaves psi_j, and the ci* integrals pick the coefficient of
     c1* ... cn* in psi_1 ... psi_n, which is det M (Berezin, *The Method of
-    Second Quantization*, 1966).  ``mul``'s product loop forms the product: after
+    Second Quantization*, 1966).  ``_exterior`` forms the product: after
     k factors it has at most C(n, k) terms, and at most min(k + 1, n) on the action's
-    columns.  The columns are not checked: callers build them from validated input.
+    columns.
     """
-    form = {0: 1.0}
-    for column in columns:
-        form = _kept(_wedge(form, [(1 << i, value, _crossings(1 << i)) for i, value in column]))
-    return form.get((1 << len(columns)) - 1, 0.0)
+    return _exterior(columns).get((1 << len(columns)) - 1, 0.0)

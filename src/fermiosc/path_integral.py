@@ -17,7 +17,9 @@ numbers come out of the determinant of the discrete action's quadratic
 form, which doubles as an independent route for cross-validation; that
 matrix is unit lower-bidiagonal plus one corner, so the determinant is
 1 +- lambda^N in closed form (Blankenbecler, Scalapino & Sugar, PRD 24,
-2278 (1981)).
+2278 (1981)).  Only the corner depends on the boundary condition, so the
+Gaussian cross-check expands a chain's other N - 1 columns once and wedges
+each boundary condition's corner column onto that product.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .grassmann import (
     GeneratorRegistry,
     GrassmannElement,
     _build,
-    _gaussian_columns,
+    _exterior,
     _relabelled,
     _right,
     _wedge,
@@ -300,23 +302,57 @@ def close_boundary(kernel: PropagatorKernel, bc: BoundaryCondition) -> float:
     return float(mul(closed, one(_REGISTRY), (_CB_STAR, _CB)).scalar_part())
 
 
+def _nonzero(column: list[tuple[int, float]]) -> list[tuple[int, float]]:
+    return [(i, value) for i, value in column if value]
+
+
+def _free_columns(n: int, lam) -> list[list[tuple[int, float]]]:
+    """The N - 1 columns of the action matrix that hold no corner; see ``_action_columns``."""
+    return [_nonzero([(j, 1.0), (j + 1, -lam)]) for j in range(n - 1)]
+
+
+def _corner_column(n: int, lam, bc: BoundaryCondition) -> list[tuple[int, float]]:
+    """The last column of the action matrix, the only one that depends on bc."""
+    corner = _bc_sign(bc) * lam  # for the signed log, +-1 * lam is +-lam exactly: no log taken
+    if n == 1:
+        return _nonzero([(0, 1.0 + corner)])
+    return _nonzero([(0, corner), (n - 1, 1.0)])
+
+
 def _action_columns(n: int, lam, bc: BoundaryCondition) -> list[list[tuple[int, float]]]:
     """The N x N action matrix by columns, as its nonzero (row, value) entries in row order.
 
-    The one statement of the closed discrete action.  Column j holds the unit
-    diagonal and -lambda below it; the last column holds the +lambda
-    (antiperiodic) or -lambda (periodic) corner in row 0, which at N = 1 adds
-    to the diagonal, so the determinant is 1 +- lambda^N.  lambda keeps the
-    caller's type, a float or the chain's signed log.  A zero entry, such as
-    -0.0 at lambda = 0, is left out.
+    The one statement of the closed discrete action, in two parts.  Column j
+    holds the unit diagonal and -lambda below it (``_free_columns``); the
+    last column holds the +lambda (antiperiodic) or -lambda (periodic)
+    corner in row 0 (``_corner_column``), which at N = 1 adds to the
+    diagonal, so the determinant is 1 +- lambda^N.  lambda keeps the
+    caller's type, a float or the chain's signed log.  A zero entry, such
+    as -0.0 at lambda = 0, is left out.
     """
-    corner = _bc_sign(bc) * lam  # for the signed log, +-1 * lam is +-lam exactly: no log taken
-    if n == 1:
-        columns = [[(0, 1.0 + corner)]]
-    else:
-        columns = [[(j, 1.0), (j + 1, -lam)] for j in range(n - 1)]
-        columns.append([(0, corner), (n - 1, 1.0)])
-    return [[(i, value) for i, value in column if value] for column in columns]
+    return _free_columns(n, lam) + [_corner_column(n, lam, bc)]
+
+
+class _ActionGaussian:
+    """The Gaussian integral of one chain's action, expanded once for both bcs.
+
+    Calling it with a bc gives ``_gaussian_columns(_action_columns(n, lam,
+    bc))`` to the bit: the first call wedges the N - 1 bc-free columns and
+    keeps their product, and every call wedges only its own bc's corner
+    column onto it, in the same column order.  The caller owns an instance,
+    one per chain and lambda, and drops it with the chain.
+    """
+
+    __slots__ = ("n", "lam", "_free")
+
+    def __init__(self, n: int, lam) -> None:
+        self.n, self.lam, self._free = n, lam, None
+
+    def __call__(self, bc: BoundaryCondition) -> float:
+        if self._free is None:
+            self._free = _exterior(_free_columns(self.n, self.lam))
+        closed = _exterior([_corner_column(self.n, self.lam, bc)], self._free)
+        return closed.get((1 << self.n) - 1, 0.0)
 
 
 def _one_plus(chain: DiscretizedChain, sign: float) -> float:
@@ -351,6 +387,17 @@ def partition_via_determinant(chain: DiscretizedChain, bc: BoundaryCondition) ->
     4 (N + 1) ulp * (1 + |lambda^N|).  No dense matrix is built.  A bc
     that is not a member raises ValueError.
     """
+    return _determinant(chain, bc)
+
+
+def _determinant(chain: DiscretizedChain, bc: BoundaryCondition,
+                 gaussian: _ActionGaussian | None = None) -> float:
+    """``partition_via_determinant``, cross-checked against ``gaussian``, the chain's own.
+
+    A caller that evaluates both bcs of a chain passes the same ``gaussian``
+    to both, so the bc-free columns are expanded once; without one, the
+    cross-check expands the chain's float-lambda action for this bc alone.
+    """
     try:
         det = _one_plus(chain, _bc_sign(bc))
     except OverflowError:  # float ** int and math.exp raise where they would give inf
@@ -358,7 +405,9 @@ def partition_via_determinant(chain: DiscretizedChain, bc: BoundaryCondition) ->
     if not math.isfinite(det):
         raise ArithmeticError(f"determinant of the N={chain.n_steps} action matrix is not finite")
     if chain.n_steps <= GAUSSIAN_CAP:
-        symbolic = _gaussian_columns(_action_columns(chain.n_steps, chain.step_coefficient, bc))
+        if gaussian is None:
+            gaussian = _ActionGaussian(chain.n_steps, chain.step_coefficient)
+        symbolic = gaussian(bc)
         # 1 + |det - 1| is 1 + |lambda^N|, the expansion's scale, and never overflows
         if abs(symbolic - det) > 4 * (chain.n_steps + 1) * 2.0**-52 * (1.0 + abs(det - 1.0)):
             raise ArithmeticError(

@@ -10,6 +10,7 @@ alone or in any order.  Route accuracy is stated once, in the entry
 
 from __future__ import annotations
 
+import enum
 import itertools
 import math
 import random
@@ -18,7 +19,6 @@ from typing import Any, Callable, List, NamedTuple, Sequence
 from .grassmann import (
     GeneratorRegistry,
     GrassmannElement,
-    _gaussian_columns,
     add,
     monomial,
     mul,
@@ -37,7 +37,8 @@ from .path_integral import (
     GAUSSIAN_CAP,
     DiscretizedChain,
     SliceScheme,
-    _action_columns,
+    _ActionGaussian,
+    _determinant,
     _log_step,
     _SignedLog,
     close_boundary,
@@ -77,17 +78,29 @@ class Invariant(NamedTuple):
     defect: Callable[[Any], float]
 
     def check(self) -> CheckResult:
+        """The worst defect over the grid, and the first grid point that gives it."""
         try:
             defects = [float(self.defect(point)) for point in self.grid]
-            # max alone may pass over a NaN defect; a NaN must fail the entry
-            worst = math.nan if any(map(math.isnan, defects)) else max(defects)
         except Exception as exc:  # one broken entry must not hide the others' report
             detail = "raised %s: %s" % (type(exc).__name__, exc)
             return CheckResult(self.name, False, detail, math.inf)
-        detail = "defect %.3e tol %.0e (max %s over %d points)" % (
-            worst, self.tolerance, self.quantity, len(self.grid)
+        # max alone may pass over a NaN defect; a NaN must fail the entry
+        nans = [k for k, defect in enumerate(defects) if math.isnan(defect)]
+        at = nans[0] if nans else max(range(len(defects)), key=defects.__getitem__)
+        worst = defects[at]
+        detail = "defect %.3e tol %.0e (max %s over %d points, worst at %s)" % (
+            worst, self.tolerance, self.quantity, len(self.grid), _point_text(self.grid[at])
         )
         return CheckResult(self.name, worst <= self.tolerance, detail, worst)
+
+
+def _point_text(point) -> str:
+    """A grid point as text: floats by repr, enum members by value, tuples in parentheses."""
+    if isinstance(point, tuple):
+        return "(%s)" % ", ".join(map(_point_text, point))
+    if isinstance(point, enum.Enum):
+        return str(point.value)
+    return repr(point)
 
 
 def _size(a: GrassmannElement) -> float:
@@ -215,12 +228,14 @@ def _route_accuracy(point) -> float:
         scaled_ulp = 2.0**-52 * max(1.0, abs(math.log(max(abs(power), floor))))
         chain_bound = 1e-15 if exact else min(1e-14, 16 * scaled_ulp)
         checks = [(kernel.coeff_prop, power, 4 * scaled_ulp)]
+        # each Gaussian expands the chain's bc-free columns once, for both bcs
+        determinant = _ActionGaussian(chain.n_steps, chain.step_coefficient)
+        gaussian = _ActionGaussian(chain.n_steps, _SignedLog(*_log_step(chain)))
         for bc, z in ((_AP, 1 + power), (_P, 1 - power)):
             checks += [(close_boundary(kernel, bc), z, chain_bound),
-                       (partition_via_determinant(chain, bc), z, 1e-15)]
+                       (_determinant(chain, bc, determinant), z, 1e-15)]
             if chain.n_steps <= GAUSSIAN_CAP:
-                columns = _action_columns(chain.n_steps, _SignedLog(*_log_step(chain)), bc)
-                checks.append((_gaussian_columns(columns), z, chain_bound))
+                checks.append((gaussian(bc), z, chain_bound))
             if exact and (chain.n_steps == 1 or x >= floor):
                 checks.append((closed_form_partition(chain.beta, chain.omega, bc), z, 1e-15))
         return max(float(abs(decimal.Decimal(got) - want) / max(abs(want), floor)) / bound

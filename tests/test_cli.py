@@ -219,7 +219,7 @@ def test_overflowing_determinant_exits_1_without_rows(capsys):
 
 
 def test_cross_check_failure_names_both_values(capsys, monkeypatch):
-    monkeypatch.setattr("fermiosc.path_integral._gaussian_columns", lambda c: 1.0)
+    monkeypatch.setattr("fermiosc.path_integral._ActionGaussian.__call__", lambda self, bc: 1.0)
     argv = "determinant --beta 1 --omega 1 --steps 4 --scheme first-order --bc antiperiodic"
     code = main(argv.split())
     out, err = capsys.readouterr()
@@ -236,6 +236,22 @@ def test_cross_check_failure_names_both_values(capsys, monkeypatch):
     code = main("determinant --beta 1e-12 --omega 1 --steps 8 --bc periodic".split())
     out, err = capsys.readouterr()
     assert (code, out) == (1, "") and err.startswith("cross-check failure: ")
+
+
+def test_first_failing_row_in_output_order_is_reported(capsys, monkeypatch):
+    # rows run bc-major: (antiperiodic, 2), (antiperiodic, 3), (periodic, 2), ...; a
+    # chain-major order would reach the periodic N = 2 fault first
+    faults = {(3, AP): 1.0, (2, P): 2.0}
+    kernel = fermiosc.path_integral._ActionGaussian.__call__
+    monkeypatch.setattr("fermiosc.path_integral._ActionGaussian.__call__",
+                        lambda self, bc: faults.get((self.n, bc)) or kernel(self, bc))
+    code = main("sweep --beta 1 --omega 1 --steps 2 3".split())
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == (
+        "cross-check failure: Gaussian expansion 1.0 disagrees with determinant "
+        "1.3678794411714423\n"
+    )
 
 
 def test_determinant_keeps_digits_at_tiny_beta(capsys):

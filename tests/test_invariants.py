@@ -37,6 +37,25 @@ def test_nan_defect_fails_the_entry():
     # in the middle of the grid, where max(0.0, nan, 0.5) would return 0.5
     result = Invariant("nan", "defect", (0, 1, 2), 1.0, lambda p: (0.0, math.nan, 0.5)[p]).check()
     assert not result.passed and math.isnan(result.defect)
+    assert result.detail.endswith(", worst at 1)")
+
+
+def test_route_accuracy_names_its_worst_point(monkeypatch):
+    # a determinant 8 ulp off at one first-order N = 7 point: past the route's 1e-15,
+    # inside the cross-check's 32 ulp, so the entry fails with a defect, not a raise
+    one_plus = path_integral._one_plus
+
+    def skewed(chain, sign):
+        z = one_plus(chain, sign)
+        if chain[:3] == (7, 2.0, 0.5) and chain.scheme is SliceScheme.FIRST_ORDER:
+            return z * (1.0 + 2.0**-49)
+        return z
+
+    monkeypatch.setattr(path_integral, "_one_plus", skewed)
+    results = {result.name: result for result in run_selftest()}
+    verdict = results["route-relative-accuracy"].verdict()
+    assert verdict.startswith("FAIL route-relative-accuracy: defect ")
+    assert verdict.endswith(", worst at (7, 2.0, 0.5, first-order))")
 
 
 # the entries that read the 2x2 operators; no other entry calls them
@@ -107,9 +126,9 @@ def test_route_accuracy_sees_a_skewed_step_log(monkeypatch):
 def test_route_accuracy_sees_a_float_gaussian(monkeypatch):
     # a float lambda rounds once, and 1 - lambda^N cancels where beta*omega is
     # small, so the action's Gaussian holds the chain's bound on the signed log only
-    action_columns = selftest._action_columns
-    monkeypatch.setattr(selftest, "_action_columns",
-                        lambda n, lam, bc: action_columns(n, float(lam), bc))
+    action_gaussian = selftest._ActionGaussian
+    monkeypatch.setattr(selftest, "_ActionGaussian",
+                        lambda n, lam: action_gaussian(n, float(lam)))
     results = {result.name: result for result in run_selftest()}
     assert not results["route-relative-accuracy"].passed
 

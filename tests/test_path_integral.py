@@ -367,8 +367,23 @@ class TestActionMatrix:
             # each column is the dense matrix's nonzero entries, in row order
             assert columns == [[(i, row[j]) for i, row in enumerate(m) if row[j]]
                                for j in range(n_steps)]
-            assert path_integral._gaussian_columns(columns) == pytest.approx(
+            assert grassmann._gaussian_columns(columns) == pytest.approx(
                 np.linalg.det(m), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("n_steps", range(1, GAUSSIAN_CAP + 1))
+    def test_both_bcs_share_one_expansion(self, n_steps):
+        # lambda = 1, lambda = 0 in first order and lambda < 0, then the selftest's grid;
+        # each bc's value from one expansion is its own expansion's, in either bc order
+        points = [(beta, 1.0) for beta in (0.0, n_steps, 3.0 * n_steps)] + list(selftest._GRID)
+        for (beta, omega), scheme in itertools.product(points, SliceScheme):
+            chain = DiscretizedChain(n_steps, beta, omega, scheme)
+            signed = path_integral._SignedLog(*path_integral._log_step(chain))
+            for lam, bcs in itertools.product((chain.step_coefficient, signed), ((AP, P), (P, AP))):
+                gaussian = path_integral._ActionGaussian(n_steps, lam)
+                for bc in bcs:
+                    columns = path_integral._action_columns(n_steps, lam, bc)
+                    assert repr(gaussian(bc)) == repr(grassmann._gaussian_columns(columns)), (
+                        beta, omega, scheme, type(lam).__name__, bc)
 
     def test_first_order_four_steps(self):
         chain = DiscretizedChain(4, 1.0, 1.0, SliceScheme.FIRST_ORDER)
@@ -420,9 +435,9 @@ class TestDeterminantRoute:
 
     def test_no_dense_matrix_and_the_kernel_only_up_to_the_cap(self, monkeypatch):
         sizes = []
-        kernel = path_integral._gaussian_columns
-        monkeypatch.setattr(path_integral, "_gaussian_columns",
-                            lambda columns: sizes.append(len(columns)) or kernel(columns))
+        kernel = path_integral._ActionGaussian.__call__
+        monkeypatch.setattr(path_integral._ActionGaussian, "__call__",
+                            lambda self, bc: sizes.append(self.n) or kernel(self, bc))
         # literals, not GAUSSIAN_CAP: the README and perfbench's GAUSS_STEPS assume a cap of 8
         for n_steps in (1, 8, 9):
             partition_via_determinant(DiscretizedChain(n_steps, 1.0, 1.0), AP)
