@@ -18,16 +18,17 @@ import argparse
 import json
 import math
 import sys
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .oscillator import BoundaryCondition, closed_form_partition
 from .path_integral import (
     DiscretizedChain,
     SliceScheme,
     _ActionGaussian,
-    _determinant,
     close_boundary,
     contract_chain,
+    partition_via_determinant,
 )
 from .selftest import run_selftest
 
@@ -109,46 +110,42 @@ def run_exact(args: argparse.Namespace) -> List[ResultRow]:
     return rows
 
 
-def run_chain(args: argparse.Namespace) -> List[ResultRow]:
-    rows = []
-    for beta in args.beta:
-        chain = DiscretizedChain(args.steps[0], beta, args.omega, SliceScheme(args.scheme))
-        kernel = contract_chain(chain)
-        for bc in _boundary_conditions(args.bc):
-            z = close_boundary(kernel, bc)
-            reference = closed_form_partition(beta, args.omega, bc)
-            rows.append(_row("chain", beta, args.omega, chain.n_steps, bc, z, reference))
-    return rows
+def _rows(route: str, args: argparse.Namespace, step: Callable) -> List[ResultRow]:
+    """Route rows in the order beta, then boundary condition, then N.
 
-
-def _determinant_rows(route: str, args: argparse.Namespace) -> List[ResultRow]:
-    """Determinant-route rows in the order beta, then boundary condition, then N.
-
-    Each chain's cross-check expands its bc-free columns at the chain's first
-    row and closes them per bc, so rows are still evaluated, and a failing
-    row still raises, in output order.
+    ``step(chain)`` runs once per chain, before the chain's first row, and
+    returns the chain's value as a function of bc, which each row calls; so
+    rows are evaluated, and a failing row raises, in output order.
     """
     scheme = SliceScheme(args.scheme)
     rows = []
     for beta in args.beta:
         chains = [DiscretizedChain(n, beta, args.omega, scheme) for n in args.steps]
-        gaussians = [_ActionGaussian(chain.n_steps, chain.step_coefficient) for chain in chains]
+        values = [step(chain) for chain in chains]
         for bc in _boundary_conditions(args.bc):
             reference = closed_form_partition(beta, args.omega, bc)
-            for chain, gaussian in zip(chains, gaussians):
-                z = _determinant(chain, bc, gaussian)
-                rows.append(_row(route, beta, args.omega, chain.n_steps, bc, z, reference))
+            for chain, value in zip(chains, values):
+                rows.append(_row(route, beta, args.omega, chain.n_steps, bc, value(bc), reference))
     return rows
 
 
+def _shared_determinant(chain: DiscretizedChain) -> Callable:
+    gaussian = _ActionGaussian(chain.n_steps, chain.step_coefficient)
+    return partial(partition_via_determinant, chain, gaussian=gaussian)
+
+
+def run_chain(args: argparse.Namespace) -> List[ResultRow]:
+    return _rows("chain", args, lambda chain: partial(close_boundary, contract_chain(chain)))
+
+
 def run_determinant(args: argparse.Namespace) -> List[ResultRow]:
-    return _determinant_rows("determinant", args)
+    return _rows("determinant", args, _shared_determinant)
 
 
 def run_sweep(args: argparse.Namespace) -> List[ResultRow]:
     if any(b <= a for a, b in zip(args.steps, args.steps[1:])):
         raise ValueError("--steps must be strictly ascending")
-    return _determinant_rows("sweep", args)
+    return _rows("sweep", args, _shared_determinant)
 
 
 def run_selftest_command(args: argparse.Namespace) -> int:

@@ -16,8 +16,7 @@ it, so no term whose integral is zero is formed; the chain's compositions
 and the closure of its time circle both run it.  The Gaussian integral of a
 quadratic form is the top coefficient of an exterior product of its
 columns, taken on the columns' nonzero entries; the determinant route's
-cross-check runs it on the discrete action's sparse columns, and keeps the
-running product of the columns that both boundary conditions share.
+cross-check runs it on the discrete action's sparse columns.
 
 All values are immutable after construction and every operation is a pure
 function; elements may be shared freely across threads.

@@ -17,9 +17,7 @@ numbers come out of the determinant of the discrete action's quadratic
 form, which doubles as an independent route for cross-validation; that
 matrix is unit lower-bidiagonal plus one corner, so the determinant is
 1 +- lambda^N in closed form (Blankenbecler, Scalapino & Sugar, PRD 24,
-2278 (1981)).  Only the corner depends on the boundary condition, so the
-Gaussian cross-check expands a chain's other N - 1 columns once and wedges
-each boundary condition's corner column onto that product.
+2278 (1981)).
 """
 
 from __future__ import annotations
@@ -378,26 +376,22 @@ def _one_plus(chain: DiscretizedChain, sign: float) -> float:
 GAUSSIAN_CAP = 8
 
 
-def partition_via_determinant(chain: DiscretizedChain, bc: BoundaryCondition) -> float:
+def partition_via_determinant(chain: DiscretizedChain, bc: BoundaryCondition,
+                              gaussian: _ActionGaussian | None = None) -> float:
     """Partition value as the determinant 1 +- lambda^N of the action matrix.
 
     Overflow raises ArithmeticError, and so does, for N <= GAUSSIAN_CAP, a
     Gaussian-integral expansion of the action's nonzero column entries that
     differs from the closed form by more than its own rounding,
     4 (N + 1) ulp * (1 + |lambda^N|).  No dense matrix is built.  A bc
-    that is not a member raises ValueError.
+    that is not a member raises ValueError.  The optional ``gaussian`` is
+    the chain's ``_ActionGaussian(chain.n_steps, chain.step_coefficient)``,
+    which a caller passes to both bcs so the expansion is shared; one built
+    for another N or lambda raises ValueError.
     """
-    return _determinant(chain, bc)
-
-
-def _determinant(chain: DiscretizedChain, bc: BoundaryCondition,
-                 gaussian: _ActionGaussian | None = None) -> float:
-    """``partition_via_determinant``, cross-checked against ``gaussian``, the chain's own.
-
-    A caller that evaluates both bcs of a chain passes the same ``gaussian``
-    to both, so the bc-free columns are expanded once; without one, the
-    cross-check expands the chain's float-lambda action for this bc alone.
-    """
+    if gaussian is not None and (gaussian.n, gaussian.lam) != (chain.n_steps,
+                                                                chain.step_coefficient):
+        raise ValueError(f"Gaussian of N={gaussian.n}, lambda={gaussian.lam!r} is another chain's")
     try:
         det = _one_plus(chain, _bc_sign(bc))
     except OverflowError:  # float ** int and math.exp raise where they would give inf

@@ -38,7 +38,6 @@ from .path_integral import (
     DiscretizedChain,
     SliceScheme,
     _ActionGaussian,
-    _determinant,
     _log_step,
     _SignedLog,
     close_boundary,
@@ -233,7 +232,7 @@ def _route_accuracy(point) -> float:
         gaussian = _ActionGaussian(chain.n_steps, _SignedLog(*_log_step(chain)))
         for bc, z in ((_AP, 1 + power), (_P, 1 - power)):
             checks += [(close_boundary(kernel, bc), z, chain_bound),
-                       (_determinant(chain, bc, determinant), z, 1e-15)]
+                       (partition_via_determinant(chain, bc, determinant), z, 1e-15)]
             if chain.n_steps <= GAUSSIAN_CAP:
                 checks.append((gaussian(bc), z, chain_bound))
             if exact and (chain.n_steps == 1 or x >= floor):

@@ -12,6 +12,7 @@ import pytest
 
 import fermiosc
 import fermiosc.cli as cli
+from fermiosc import grassmann, oscillator, path_integral
 from fermiosc.cli import ResultRow, emit, main
 from fermiosc.oscillator import BoundaryCondition, closed_form_partition
 from fermiosc.path_integral import (DiscretizedChain, SliceScheme, close_boundary,
@@ -252,6 +253,22 @@ def test_first_failing_row_in_output_order_is_reported(capsys, monkeypatch):
         "cross-check failure: Gaussian expansion 1.0 disagrees with determinant "
         "1.3678794411714423\n"
     )
+
+
+def test_sweep_expands_each_chain_once_through_the_public_determinant(capsys, monkeypatch):
+    # 3 chains x 2 bcs call the entry point the tracer wraps; N = 9 is past the cap
+    calls, expanded = [], []
+    determinant, free_columns = cli.partition_via_determinant, path_integral._free_columns
+    monkeypatch.setattr(cli, "partition_via_determinant", lambda chain, bc, **kwargs: (
+        calls.append((chain.n_steps, bc)) or determinant(chain, bc, **kwargs)))
+    monkeypatch.setattr(path_integral, "_free_columns",
+                        lambda n, lam: expanded.append(n) or free_columns(n, lam))
+    code, out = run_cli(capsys, "sweep", "--beta", "1", "--omega", "1", "--steps", "1", "2", "9")
+    assert code == 0
+    assert calls == [(n, bc) for bc in (AP, P) for n in (1, 2, 9)]
+    assert expanded == [1, 2]
+    assert [r["z_value"] for r in json_rows(out)] == [
+        partition_via_determinant(DiscretizedChain(n, 1.0, 1.0), bc) for n, bc in calls]
 
 
 def test_determinant_keeps_digits_at_tiny_beta(capsys):
@@ -537,6 +554,15 @@ def test_package_names_are_unique_and_resolve():
     names = fermiosc.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(fermiosc, name)] == []
+
+
+def test_cli_binds_only_public_library_functions():
+    # the tracer wraps each module's __all__, so a private function would hide its time
+    modules = {m.__name__: m for m in (grassmann, oscillator, path_integral)}
+    bound = {name: fn.__module__ for name, fn in vars(cli).items()
+             if inspect.isfunction(fn) and fn.__module__ in modules}
+    assert [name for name, module in bound.items() if name not in modules[module].__all__] == []
+    assert "partition_via_determinant" in bound
 
 
 def test_no_test_name_is_defined_twice_in_one_scope():

@@ -17,7 +17,7 @@ from fermiosc import oscillator, path_integral, selftest
 from fermiosc.grassmann import GrassmannElement, add, monomial
 from fermiosc.oscillator import density_matrix, ladder_matrices, number_operator, parity_operator
 from fermiosc.path_integral import GAUSSIAN_CAP, PropagatorKernel, SliceScheme
-from fermiosc.selftest import INVARIANTS, Invariant, run_selftest
+from fermiosc.selftest import INVARIANTS, Invariant
 
 
 @pytest.mark.parametrize("invariant", INVARIANTS, ids=[inv.name for inv in INVARIANTS])
@@ -40,6 +40,9 @@ def test_nan_defect_fails_the_entry():
     assert result.detail.endswith(", worst at 1)")
 
 
+(_ROUTE_ACCURACY,) = [inv for inv in INVARIANTS if inv.name == "route-relative-accuracy"]
+
+
 def test_route_accuracy_names_its_worst_point(monkeypatch):
     # a determinant 8 ulp off at one first-order N = 7 point: past the route's 1e-15,
     # inside the cross-check's 32 ulp, so the entry fails with a defect, not a raise
@@ -52,8 +55,7 @@ def test_route_accuracy_names_its_worst_point(monkeypatch):
         return z
 
     monkeypatch.setattr(path_integral, "_one_plus", skewed)
-    results = {result.name: result for result in run_selftest()}
-    verdict = results["route-relative-accuracy"].verdict()
+    verdict = _ROUTE_ACCURACY.check().verdict()
     assert verdict.startswith("FAIL route-relative-accuracy: defect ")
     assert verdict.endswith(", worst at (7, 2.0, 0.5, first-order))")
 
@@ -107,47 +109,38 @@ def test_operator_entries_see_the_fault(monkeypatch, module, name, fault, failin
         assert failed["ladder-commutator"].defect == 2.0 * max(selftest._OMEGAS)
 
 
-def test_route_accuracy_sees_a_skewed_step_log(monkeypatch):
+_LOG_STEP, _ACTION_GAUSSIAN = path_integral._log_step, path_integral._ActionGaussian
+_SIGNED_LOG_ADD = path_integral._SignedLog.__add__
+
+
+def _skewed_log_step(chain):
+    sign, log_abs = _LOG_STEP(chain)
+    if chain.scheme is SliceScheme.EXACT:
+        log_abs *= 1.0 + 2.0**-44
+    return sign, log_abs
+
+
+def _sum_through_exp(self, other):
+    total = _SIGNED_LOG_ADD(self, other)
+    if self and other and (self < 0.0) != (other < 0.0):
+        return path_integral._SignedLog(total, total.log)
+    return total
+
+
+@pytest.mark.parametrize("module, names, fault", [
     # a fault in the step log the chain and the determinant share moves both
     # routes alike, so only a reference of its own can see it
-    log_step = path_integral._log_step
-
-    def skewed(chain):
-        sign, log_abs = log_step(chain)
-        if chain.scheme is SliceScheme.EXACT:
-            log_abs *= 1.0 + 2.0**-44
-        return sign, log_abs
-
-    monkeypatch.setattr(path_integral, "_log_step", skewed)
-    results = {result.name: result for result in run_selftest()}
-    assert not results["route-relative-accuracy"].passed
-
-
-def test_route_accuracy_sees_a_float_gaussian(monkeypatch):
+    (path_integral, ["_log_step"], _skewed_log_step),
     # a float lambda rounds once, and 1 - lambda^N cancels where beta*omega is
     # small, so the action's Gaussian holds the chain's bound on the signed log only
-    action_gaussian = selftest._ActionGaussian
-    monkeypatch.setattr(selftest, "_ActionGaussian",
-                        lambda n, lam: action_gaussian(n, float(lam)))
-    results = {result.name: result for result in run_selftest()}
-    assert not results["route-relative-accuracy"].passed
-
-
-def test_route_accuracy_sees_an_opposite_sign_sum_read_back_through_exp(monkeypatch):
+    (selftest, ["_ActionGaussian"], lambda n, lam: _ACTION_GAUSSIAN(n, float(lam))),
     # 1 - lambda^N as e^log carries about |log| half-ulps; the grid alone passes that
-    signed_log = path_integral._SignedLog
-    add = signed_log.__add__
-
-    def through_exp(self, other):
-        total = add(self, other)
-        if self and other and (self < 0.0) != (other < 0.0):
-            return signed_log(total, total.log)
-        return total
-
-    monkeypatch.setattr(signed_log, "__add__", through_exp)
-    monkeypatch.setattr(signed_log, "__radd__", through_exp)
-    results = {result.name: result for result in run_selftest()}
-    assert not results["route-relative-accuracy"].passed
+    (path_integral._SignedLog, ["__add__", "__radd__"], _sum_through_exp),
+], ids=["skewed-step-log", "float-gaussian", "opposite-sign-sum-read-back-through-exp"])
+def test_route_accuracy_sees_the_fault(monkeypatch, module, names, fault):
+    for name in names:
+        monkeypatch.setattr(module, name, fault)
+    assert not _ROUTE_ACCURACY.check().passed
 
 
 def test_route_accuracy_where_the_gaussian_runs():

@@ -443,6 +443,18 @@ class TestDeterminantRoute:
             partition_via_determinant(DiscretizedChain(n_steps, 1.0, 1.0), AP)
         assert sizes == [1, 8]
 
+    # against DiscretizedChain(4, 1.0, 1.0): epsilon = 0.25 at N = 3 keeps lambda
+    @pytest.mark.parametrize("n_steps, beta, scheme", [
+        (3, 0.75, SliceScheme.EXACT), (4, 2.0, SliceScheme.EXACT),
+        (4, 1.0, SliceScheme.FIRST_ORDER),
+    ], ids=["another-n", "another-lambda", "other-scheme"])
+    def test_refuses_another_chains_gaussian(self, n_steps, beta, scheme):
+        other = DiscretizedChain(n_steps, beta, 1.0, scheme)
+        gaussian = path_integral._ActionGaussian(other.n_steps, other.step_coefficient)
+        for bc in (AP, P):
+            with pytest.raises(ValueError, match="is another chain's"):
+                partition_via_determinant(DiscretizedChain(4, 1.0, 1.0), bc, gaussian)
+
 
 @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
 @pytest.mark.parametrize("n_steps", [2, 3, 7, 1000])
