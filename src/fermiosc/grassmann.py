@@ -287,29 +287,18 @@ def _exterior(columns, form: Mapping[int, float] | None = None) -> dict[int, flo
     """The running exterior product: ``form`` (default 1) times psi_j of each column in turn.
 
     Column j is given as its nonzero (i, M_ij) in row order, and psi_j is
-    sum_i M_ij ci*, so ci* is generator i.  ``_wedge`` forms each product,
-    and ``_kept`` drops its exact zeros; ``form`` is not changed, so a caller
-    may keep the product of some columns and wedge different last columns
-    onto it.  The columns are not checked: callers build them from validated
-    input.
+    sum_i M_ij ci*, so ci* is generator i.  From 1, the top coefficient is
+    det M, the Gaussian integral of exp(-sum_ij ci* M_ij cj): as cj^2 = 0 and
+    the bilinears commute, the exponential is prod_j (1 - psi_j cj), whose cj
+    integrals leave psi_1 ... psi_n and whose ci* integrals pick c1* ... cn*
+    (Berezin, *The Method of Second Quantization*, 1966).  ``_wedge`` forms
+    each product, at most C(n, k) terms after k columns (min(k + 1, n) on the
+    action's), and ``_kept`` drops its exact zeros.  ``form`` is not changed,
+    so a caller may keep the product of some columns and wedge different last
+    columns onto it.  The columns are not checked: callers validate input.
     """
     if form is None:
         form = {0: 1.0}
     for column in columns:
         form = _kept(_wedge(form, [(1 << i, value, _crossings(1 << i)) for i, value in column]))
     return form
-
-
-def _gaussian_columns(columns) -> float:
-    """Grassmann Gaussian integral of exp(-sum_ij ci* M_ij cj), as det M.
-
-    Column j is given as its nonzero (i, M_ij) in row order.  Because
-    cj^2 = 0 and the bilinears commute, the exponential is
-    prod_j (1 - psi_j cj) with psi_j = sum_i M_ij ci*.  Integrating each cj
-    leaves psi_j, and the ci* integrals pick the coefficient of
-    c1* ... cn* in psi_1 ... psi_n, which is det M (Berezin, *The Method of
-    Second Quantization*, 1966).  ``_exterior`` forms the product: after
-    k factors it has at most C(n, k) terms, and at most min(k + 1, n) on the action's
-    columns.
-    """
-    return _exterior(columns).get((1 << len(columns)) - 1, 0.0)

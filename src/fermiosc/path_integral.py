@@ -305,7 +305,14 @@ def _nonzero(column: list[tuple[int, float]]) -> list[tuple[int, float]]:
 
 
 def _free_columns(n: int, lam) -> list[list[tuple[int, float]]]:
-    """The N - 1 columns of the action matrix that hold no corner; see ``_action_columns``."""
+    """The N - 1 corner-free columns of the action, each as nonzero (row, value) in row order.
+
+    With ``_corner_column`` last, the one statement of the closed discrete
+    action: column j holds 1 on the diagonal and -lambda below it, the last
+    +lambda (antiperiodic) or -lambda (periodic) in row 0, added to the
+    diagonal at N = 1, so the determinant is 1 +- lambda^N.  lambda keeps its
+    type (float or signed log); a zero entry (-0.0 at lambda = 0) is left out.
+    """
     return [_nonzero([(j, 1.0), (j + 1, -lam)]) for j in range(n - 1)]
 
 
@@ -317,28 +324,14 @@ def _corner_column(n: int, lam, bc: BoundaryCondition) -> list[tuple[int, float]
     return _nonzero([(0, corner), (n - 1, 1.0)])
 
 
-def _action_columns(n: int, lam, bc: BoundaryCondition) -> list[list[tuple[int, float]]]:
-    """The N x N action matrix by columns, as its nonzero (row, value) entries in row order.
-
-    The one statement of the closed discrete action, in two parts.  Column j
-    holds the unit diagonal and -lambda below it (``_free_columns``); the
-    last column holds the +lambda (antiperiodic) or -lambda (periodic)
-    corner in row 0 (``_corner_column``), which at N = 1 adds to the
-    diagonal, so the determinant is 1 +- lambda^N.  lambda keeps the
-    caller's type, a float or the chain's signed log.  A zero entry, such
-    as -0.0 at lambda = 0, is left out.
-    """
-    return _free_columns(n, lam) + [_corner_column(n, lam, bc)]
-
-
 class _ActionGaussian:
     """The Gaussian integral of one chain's action, expanded once for both bcs.
 
-    Calling it with a bc gives ``_gaussian_columns(_action_columns(n, lam,
-    bc))`` to the bit: the first call wedges the N - 1 bc-free columns and
-    keeps their product, and every call wedges only its own bc's corner
-    column onto it, in the same column order.  The caller owns an instance,
-    one per chain and lambda, and drops it with the chain.
+    A call with a bc equals, to the bit, the top coefficient of the unshared
+    ``_exterior(_free_columns(n, lam) + [_corner_column(n, lam, bc)])``: the
+    first call wedges the N - 1 bc-free columns and keeps their product, and
+    each wedges only its bc's corner column onto it, in the same order.  The
+    caller owns one instance per chain and lambda, and drops it with the chain.
     """
 
     __slots__ = ("n", "lam", "_free")

@@ -229,11 +229,12 @@ def _route_accuracy(point) -> float:
         checks = [(kernel.coeff_prop, power, 4 * scaled_ulp)]
         # each Gaussian expands the chain's bc-free columns once, for both bcs
         determinant = _ActionGaussian(chain.n_steps, chain.step_coefficient)
-        gaussian = _ActionGaussian(chain.n_steps, _SignedLog(*_log_step(chain)))
+        gaussian = (_ActionGaussian(chain.n_steps, _SignedLog(*_log_step(chain)))
+                    if chain.n_steps <= GAUSSIAN_CAP else None)
         for bc, z in ((_AP, 1 + power), (_P, 1 - power)):
             checks += [(close_boundary(kernel, bc), z, chain_bound),
                        (partition_via_determinant(chain, bc, determinant), z, 1e-15)]
-            if chain.n_steps <= GAUSSIAN_CAP:
+            if gaussian is not None:
                 checks.append((gaussian(bc), z, chain_bound))
             if exact and (chain.n_steps == 1 or x >= floor):
                 checks.append((closed_form_partition(chain.beta, chain.omega, bc), z, 1e-15))

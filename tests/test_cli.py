@@ -565,6 +565,37 @@ def test_cli_binds_only_public_library_functions():
     assert "partition_via_determinant" in bound
 
 
+# the field holding the name that each kind of reference names
+_NAMING_FIELD = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def _private_definitions_named_nowhere_else(src):
+    """(file, name) of each module-level _name function or class that no other code in src names.
+
+    A Name, an Attribute or an import alias names a definition; a docstring
+    does not, and neither does the definition's own body.
+    """
+    defined, owners = set(), {}
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            owner = None
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and top.name.startswith("_") and not top.name.startswith("__")):
+                owner = (path.name, top.name)
+                defined.add(owner)
+            for node in ast.walk(top):
+                field = _NAMING_FIELD.get(type(node))
+                if field:
+                    owners.setdefault(getattr(node, field), set()).add(owner)
+    return sorted(d for d in defined if not owners.get(d[1], set()) - {d})
+
+
+def test_every_private_library_definition_is_named_in_src():
+    # a private function only tests call is a second statement of code the routes run
+    src = Path(fermiosc.__file__).resolve().parent
+    assert _private_definitions_named_nowhere_else(src) == []
+
+
 def test_no_test_name_is_defined_twice_in_one_scope():
     # Python keeps only the last of two definitions, so a shadowed test never runs
     root = Path(__file__).resolve().parents[1]

@@ -8,6 +8,7 @@ tolerance.
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,18 @@ def test_nan_defect_fails_the_entry():
 
 
 (_ROUTE_ACCURACY,) = [inv for inv in INVARIANTS if inv.name == "route-relative-accuracy"]
+
+
+def _failed_by_its_measure(result):
+    """Whether a FAIL names a defect over the tolerance, or the determinant's cross-check.
+
+    ``Invariant.check`` turns any exception into a FAIL, so a fault test that
+    reads only the verdict would also pass on a fault that merely breaks the entry.
+    """
+    if result.detail.startswith("raised "):
+        return result.detail.startswith("raised ArithmeticError: cross-check failure:")
+    measured = re.match(r"defect (\S+) tol (\S+) ", result.detail)
+    return measured is not None and float(measured[1]) > float(measured[2])
 
 
 def test_route_accuracy_names_its_worst_point(monkeypatch):
@@ -105,6 +118,7 @@ def test_operator_entries_see_the_fault(monkeypatch, module, name, fault, failin
     failed = {result.name: result for result in map(Invariant.check, entries)
               if not result.passed}
     assert list(failed) == failing
+    assert [name for name, result in failed.items() if not _failed_by_its_measure(result)] == []
     if "ladder-commutator" in failed:  # [H, c+] = -omega c+ where it should be omega c+
         assert failed["ladder-commutator"].defect == 2.0 * max(selftest._OMEGAS)
 
@@ -140,7 +154,8 @@ def _sum_through_exp(self, other):
 def test_route_accuracy_sees_the_fault(monkeypatch, module, names, fault):
     for name in names:
         monkeypatch.setattr(module, name, fault)
-    assert not _ROUTE_ACCURACY.check().passed
+    result = _ROUTE_ACCURACY.check()
+    assert not result.passed and _failed_by_its_measure(result), result.detail
 
 
 def test_route_accuracy_where_the_gaussian_runs():

@@ -29,7 +29,7 @@ from fermiosc.path_integral import (
     partition_via_determinant,
 )
 from fermiosc.selftest import _max_coefficient_difference
-from test_grassmann import integrated
+from test_grassmann import _gaussian_columns, integrated
 
 AP = BoundaryCondition.ANTIPERIODIC
 P = BoundaryCondition.PERIODIC
@@ -328,11 +328,16 @@ def test_raw_contraction_pins_coefficients():
         assert selftest._route_accuracy((4, 1.0, 1.0, scheme)) <= 1.0
 
 
+def _action_columns(n, lam, bc):
+    """The action's columns as the routes build them: the bc-free ones, then the corner."""
+    return path_integral._free_columns(n, lam) + [path_integral._corner_column(n, lam, bc)]
+
+
 def _dense(chain, bc):
     """The float action matrix as rows, filled from ``_action_columns``."""
     n = chain.n_steps
     m = [[0.0] * n for _ in range(n)]
-    for j, column in enumerate(path_integral._action_columns(n, chain.step_coefficient, bc)):
+    for j, column in enumerate(_action_columns(n, chain.step_coefficient, bc)):
         for i, value in column:
             m[i][j] = value
     return m
@@ -362,12 +367,12 @@ class TestActionMatrix:
         betas = (0.0, n_steps, 3.0 * n_steps)
         for beta, scheme, bc in itertools.product(betas, SliceScheme, (AP, P)):
             chain = DiscretizedChain(n_steps, beta, 1.0, scheme)
-            columns = path_integral._action_columns(n_steps, chain.step_coefficient, bc)
+            columns = _action_columns(n_steps, chain.step_coefficient, bc)
             m = _dense(chain, bc)
             # each column is the dense matrix's nonzero entries, in row order
             assert columns == [[(i, row[j]) for i, row in enumerate(m) if row[j]]
                                for j in range(n_steps)]
-            assert grassmann._gaussian_columns(columns) == pytest.approx(
+            assert _gaussian_columns(columns) == pytest.approx(
                 np.linalg.det(m), rel=1e-13, abs=1e-15)
 
     @pytest.mark.parametrize("n_steps", range(1, GAUSSIAN_CAP + 1))
@@ -381,8 +386,8 @@ class TestActionMatrix:
             for lam, bcs in itertools.product((chain.step_coefficient, signed), ((AP, P), (P, AP))):
                 gaussian = path_integral._ActionGaussian(n_steps, lam)
                 for bc in bcs:
-                    columns = path_integral._action_columns(n_steps, lam, bc)
-                    assert repr(gaussian(bc)) == repr(grassmann._gaussian_columns(columns)), (
+                    columns = _action_columns(n_steps, lam, bc)
+                    assert repr(gaussian(bc)) == repr(_gaussian_columns(columns)), (
                         beta, omega, scheme, type(lam).__name__, bc)
 
     def test_first_order_four_steps(self):
